@@ -1,12 +1,23 @@
 // Deterministic discrete-event simulator.
 //
-// Events are (time, sequence) ordered: ties in virtual time resolve in
-// insertion order, so a given program produces a bit-identical schedule on
-// every run. "Processes" are coroutines spawned with Simulator::spawn; they
-// suspend on awaitables (delay, channel receive, semaphore acquire, barrier)
-// and are resumed by the event loop.
+// Events are ordered by virtual time; ties resolve in insertion order, so a
+// given program produces a bit-identical schedule on every run. "Processes"
+// are coroutines spawned with Simulator::spawn; they suspend on awaitables
+// (delay, channel receive, semaphore acquire, barrier) and are resumed by the
+// event loop.
+//
+// Insertion order is kept as an (ancestry, sequence) key: an event's
+// ancestry lists the dispatch times of the event that inserted it and of
+// that event's own inserters, most recent first. Ordering equal-time events
+// by ancestry and then by sequence is the same total order as by sequence
+// alone — an event inserted earlier descends from an inserter dispatched
+// earlier — but it is computable for an event that was never inserted. A
+// Lookahead uses that to skip a run of events whose outcome it can compute
+// in closed form and re-enter the schedule with one event at exactly the
+// position the skipped run would have given it.
 #pragma once
 
+#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -18,6 +29,34 @@
 #include "des/task.hpp"
 
 namespace vgpu::des {
+
+/// Dispatch times of an event's inserter and of its inserters in turn, most
+/// recent first (see the file comment).
+inline constexpr std::size_t kAncestryDepth = 6;
+using Ancestry = std::array<SimTime, kAncestryDepth>;
+
+/// An event's position in the schedule: time, ancestry, sequence number.
+struct EventKey {
+  SimTime time = 0;
+  Ancestry ancestry{};
+  std::uint64_t seq = 0;
+};
+
+/// A component that elides a deterministic stream of events (computing its
+/// effect in closed form) and materializes real events only where the
+/// stream meets the rest of the simulation. The simulator consults every
+/// registered lookahead before virtual time advances past the events it
+/// has dispatched.
+class Lookahead {
+ public:
+  virtual ~Lookahead() = default;
+  /// Earliest time in (now, limit] at which an elided event must become a
+  /// real one; `limit` when none must.
+  virtual SimTime horizon(SimTime limit) = 0;
+  /// Accounts for every elided event strictly before `t` and materializes
+  /// (Simulator::schedule_elided) the ones that fall exactly at `t`.
+  virtual void advance(SimTime t) = 0;
+};
 
 class Simulator {
  public:
@@ -56,6 +95,23 @@ class Simulator {
   /// Runs events with time <= t; leaves later events queued.
   void run_until(SimTime t);
 
+  /// Ancestry an event inserted right now receives.
+  Ancestry child_ancestry() const;
+  /// Key of the event being dispatched (only meaningful during dispatch).
+  EventKey current_event() const { return current_; }
+
+  /// Consumes one insertion sequence number without inserting an event:
+  /// the position an elided event would have taken.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Inserts a materialized elided event at `t` with the ancestry and
+  /// sequence number it has in the schedule that never elided it.
+  void schedule_elided(SimTime t, const Ancestry& ancestry, std::uint64_t seq,
+                       std::function<void()> fn);
+
+  void add_lookahead(Lookahead* lookahead);
+  void remove_lookahead(Lookahead* lookahead);
+
   /// Number of spawned root processes that have not yet completed.
   std::size_t live_processes() const { return live_processes_; }
 
@@ -81,6 +137,7 @@ class Simulator {
  private:
   struct Event {
     SimTime time;
+    Ancestry ancestry;
     std::uint64_t seq;
     std::coroutine_handle<> handle;      // exactly one of handle / fn is set
     std::function<void()> fn;
@@ -88,11 +145,16 @@ class Simulator {
   struct EventOrder {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;  // min-heap: earlier insertion first
+      // Min-heap: earlier insertion first (see the file comment).
+      if (a.ancestry != b.ancestry) return a.ancestry > b.ancestry;
+      return a.seq > b.seq;
     }
   };
 
   void dispatch(Event& ev);
+  /// Brings every lookahead up to the next real event (at most `limit`)
+  /// before time advances to it.
+  void settle(SimTime limit);
 
   // Wrapper that owns a root coroutine and notifies completion.
   struct RootPromise;
@@ -132,6 +194,12 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_dispatched_ = 0;
   std::size_t live_processes_ = 0;
+  // The event being dispatched, and the ancestry of events it inserts.
+  EventKey current_;
+  Ancestry child_ancestry_{};
+  bool dispatching_ = false;
+  std::vector<Lookahead*> lookaheads_;
+  SimTime settled_ = -1;  // lookaheads are current up to this time
   std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
   // Registry of live root coroutines so ~Simulator can destroy them.
   std::vector<std::pair<std::coroutine_handle<>, bool*>> roots_;

@@ -83,7 +83,9 @@ Gvm::Gvm(des::Simulator& sim, vcuda::Runtime& runtime, GvmConfig config)
   VGPU_ASSERT(config_.expected_clients >= 1);
 }
 
-Gvm::~Gvm() = default;
+Gvm::~Gvm() {
+  if (lookahead_registered_) sim_.remove_lookahead(this);
+}
 
 void Gvm::start() { sim_.spawn(run()); }
 
@@ -108,6 +110,21 @@ SimDuration Gvm::staging_time(Bytes bytes) const {
 }
 
 void Gvm::respond(int client, ResponseType type) {
+  if (auto it = parked_.find(client); it != parked_.end()) {
+    Parked& p = it->second;
+    VGPU_ASSERT_MSG(p.in_flight, "response to a parked client with no request");
+    if (type == p.again) {
+      // The materialized resend was answered `again` too: the loop carries
+      // on elided, rooted at the response this answer would deliver.
+      ++*p.waits;
+      p.root = des::EventKey{sim_.now(), sim_.child_ancestry(),
+                             sim_.reserve_seq()};
+      p.next = 3;
+      p.in_flight = false;
+      return;
+    }
+    parked_.erase(it);
+  }
   response_channel(client).send(Response{type});
 }
 
@@ -496,6 +513,114 @@ des::Task<> Gvm::handle_res(int client) {
 }
 
 // ---------------------------------------------------------------------------
+// Resend-loop elision
+// ---------------------------------------------------------------------------
+//
+// A client answered WAIT (STP, SUS) or RETRY (REQ) sleeps a poll interval
+// and resends, until the answer changes (paper Sec. V). Each resend costs
+// five events: request hop, GVM dispatch, response, response hop, sleep.
+// While the GVM idles on its request queue and the awaited state (stream
+// idle, admissible memory) is unchanged, a resend is answered `again` and
+// changes nothing but counters and the client's LRU stamp — so from the
+// second resend on the GVM computes those in closed form instead of
+// simulating the loop. A resend becomes a real event whenever its outcome
+// could differ:
+//   - the GVM is busy when it lands (its FIFO position matters);
+//   - any real event falls at its instant (insertion order decides);
+//   - the awaited state changed (its answer differs).
+// It is inserted with the time and ancestry it has in the polled schedule
+// (des/sim.hpp), and the sequence number of its chain's root response as
+// the final tie-break. Chains whose resends coincide share their root's
+// instant — a real event at a resend instant re-roots every chain resending
+// then — so that tie-break orders them as their responses were ordered.
+// The polled and the elided runs thus dispatch the same real events in the
+// same order, and every counter, including `last_active` (eviction order),
+// comes out identical. With a timeline attached every request is recorded,
+// so the loop runs for real.
+
+bool Gvm::park(int client, RequestType type, ResponseType again,
+               long* waits, const des::EventKey& response) {
+  if (runtime_.device().timeline() != nullptr) return false;
+  if (2 * config_.msg_latency + config_.poll_interval <= 0) return false;
+  if (!lookahead_registered_) {
+    sim_.add_lookahead(this);
+    lookahead_registered_ = true;
+  }
+  parked_.insert_or_assign(client, Parked{type, again, waits, response, 3});
+  return true;
+}
+
+SimTime Gvm::chain_time(const Parked& p, long index) const {
+  // Per resend: response, response hop, sleep, request hop, GVM dispatch.
+  const SimDuration l = config_.msg_latency;
+  const SimDuration period = 2 * l + config_.poll_interval;
+  const SimDuration offset[5] = {0, l, l + config_.poll_interval, period,
+                                 period};
+  return p.root.time + (index / 5) * period + offset[index % 5];
+}
+
+des::Ancestry Gvm::chain_ancestry(const Parked& p, long index) const {
+  des::Ancestry out;
+  for (long j = 0; j < static_cast<long>(out.size()); ++j) {
+    out[static_cast<std::size_t>(j)] =
+        j < index ? chain_time(p, index - 1 - j)
+                  : p.root.ancestry[static_cast<std::size_t>(j - index)];
+  }
+  return out;
+}
+
+bool Gvm::resend_repeats(int client, const Parked& p) const {
+  if (requests_.waiting_receivers() == 0) return false;  // GVM busy
+  if (p.type == RequestType::kReq) {
+    const TaskPlan& plan = pending_plans_.at(client);
+    return admission_
+               .decide(plan.bytes_in + plan.bytes_out, device_free(),
+                       victims(client))
+               .action == sched::AdmitAction::kRetry;
+  }
+  const auto it = clients_.find(client);
+  return it != clients_.end() && !it->second.stream->idle();
+}
+
+SimTime Gvm::horizon(SimTime limit) {
+  for (const auto& [client, p] : parked_) {
+    if (p.in_flight || resend_repeats(client, p)) continue;
+    limit = std::min(limit, chain_time(p, p.next));
+  }
+  return limit;
+}
+
+void Gvm::advance(SimTime t) {
+  const SimDuration period = 2 * config_.msg_latency + config_.poll_interval;
+  for (auto& [client, p] : parked_) {
+    if (p.in_flight) continue;
+    SimTime at = chain_time(p, p.next);
+    if (at < t) {
+      // horizon() vouched that every resend before `t` repeats.
+      const long skipped = (t - at + period - 1) / period;
+      stats_.requests += skipped;
+      stats_.waits_sent += skipped;
+      *p.waits += skipped;
+      if (p.type == RequestType::kReq) admission_.count_backpressure(skipped);
+      if (auto it = clients_.find(client); it != clients_.end()) {
+        it->second.last_active = at + (skipped - 1) * period;
+      }
+      p.next += 5 * skipped;
+      at = chain_time(p, p.next);
+    }
+    if (at == t) materialize(client, p);
+  }
+}
+
+void Gvm::materialize(int client, Parked& p) {
+  p.in_flight = true;
+  const RequestType type = p.type;
+  sim_.schedule_elided(chain_time(p, p.next), chain_ancestry(p, p.next),
+                       p.root.seq,
+                       [this, client, type] { submit(Request{type, client}); });
+}
+
+// ---------------------------------------------------------------------------
 // Device-pool API
 // ---------------------------------------------------------------------------
 
@@ -632,27 +757,40 @@ des::Task<Status> Gvm::import_client(int client, MigratedClient& state) {
 VGpuClient::VGpuClient(des::Simulator& sim, Gvm& gvm, int id)
     : sim_(sim), gvm_(gvm), id_(id) {}
 
-des::Task<Response> VGpuClient::call(RequestType type) {
+des::Task<Response> VGpuClient::call(RequestType type,
+                                     des::EventKey* response_event) {
   co_await sim_.delay(gvm_.config().msg_latency);  // request queue hop
   gvm_.submit(Request{type, id_});
   Response response = co_await gvm_.response_channel(id_).receive();
+  if (response_event != nullptr) *response_event = sim_.current_event();
   co_await sim_.delay(gvm_.config().msg_latency);  // response queue hop
   co_return response;
 }
 
-des::Task<Status> VGpuClient::req(TaskPlan plan) {
-  gvm_.register_plan(id_, std::move(plan));
+des::Task<Response> VGpuClient::poll(RequestType type, ResponseType again) {
   for (;;) {
-    const Response r = co_await call(RequestType::kReq);
-    if (r.type == ResponseType::kAck) co_return Status::Ok();
-    if (r.type == ResponseType::kDenied) {
-      gvm_.drop_plan(id_);
-      co_return ResourceExhausted("REQ denied: over device-memory quota");
+    des::EventKey response;
+    const Response r = co_await call(type, &response);
+    if (r.type != again) co_return r;
+    ++waits_;
+    if (gvm_.park(id_, type, again, &waits_, response)) {
+      const Response last = co_await gvm_.response_channel(id_).receive();
+      co_await sim_.delay(gvm_.config().msg_latency);  // response queue hop
+      co_return last;
     }
-    VGPU_ASSERT(r.type == ResponseType::kRetry);
-    ++waits_;  // transient pressure: poll like STP
     co_await sim_.delay(gvm_.config().poll_interval);
   }
+}
+
+des::Task<Status> VGpuClient::req(TaskPlan plan) {
+  gvm_.register_plan(id_, std::move(plan));
+  const Response r = co_await poll(RequestType::kReq, ResponseType::kRetry);
+  if (r.type == ResponseType::kDenied) {
+    gvm_.drop_plan(id_);
+    co_return ResourceExhausted("REQ denied: over device-memory quota");
+  }
+  VGPU_ASSERT(r.type == ResponseType::kAck);
+  co_return Status::Ok();
 }
 
 des::Task<> VGpuClient::snd() {
@@ -666,12 +804,7 @@ des::Task<> VGpuClient::str() {
 }
 
 des::Task<> VGpuClient::wait_done() {
-  for (;;) {
-    const Response r = co_await call(RequestType::kStp);
-    if (r.type == ResponseType::kAck) co_return;
-    ++waits_;
-    co_await sim_.delay(gvm_.config().poll_interval);
-  }
+  co_await poll(RequestType::kStp, ResponseType::kWait);
 }
 
 des::Task<> VGpuClient::rcv() {
@@ -685,12 +818,7 @@ des::Task<> VGpuClient::rls() {
 }
 
 des::Task<> VGpuClient::suspend() {
-  for (;;) {
-    const Response r = co_await call(RequestType::kSus);
-    if (r.type == ResponseType::kAck) co_return;
-    ++waits_;
-    co_await sim_.delay(gvm_.config().poll_interval);
-  }
+  co_await poll(RequestType::kSus, ResponseType::kWait);
 }
 
 des::Task<> VGpuClient::resume() {

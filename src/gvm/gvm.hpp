@@ -98,7 +98,7 @@ struct MigratedClient {
   Bytes working_set() const { return plan.bytes_in + plan.bytes_out; }
 };
 
-class Gvm {
+class Gvm : private des::Lookahead {
  public:
   Gvm(des::Simulator& sim, vcuda::Runtime& runtime, GvmConfig config);
   Gvm(const Gvm&) = delete;
@@ -166,8 +166,30 @@ class Gvm {
     std::shared_ptr<std::vector<std::byte>> saved_out;
   };
 
+  /// A client whose resend loop (STP / SUS until ACK, REQ until admitted)
+  /// runs elided. The loop's events — response, response hop, poll sleep,
+  /// request hop, GVM dispatch — repeat as a fixed chain from the response
+  /// event that delivered the last `again`; `next` indexes the chain's next
+  /// request-send event.
+  struct Parked {
+    RequestType type;
+    ResponseType again;  // the answer that keeps the client resending
+    long* waits;         // the client's tally of `again` answers
+    des::EventKey root;
+    long next;
+    bool in_flight = false;  // `next` materialized: a real request now
+  };
+
   /// Client-side hooks (called by VGpuClient).
   void submit(Request request) { requests_.send(request); }
+  /// Called by a client whose request was just answered `again` (taken
+  /// from its response channel in event `response`) and which would now
+  /// sleep a poll interval and resend. Returns false when the loop must
+  /// run for real (a timeline records every request); otherwise the GVM
+  /// takes the loop over: the client awaits its response channel, which
+  /// receives the first answer other than `again`.
+  bool park(int client, RequestType type, ResponseType again, long* waits,
+            const des::EventKey& response);
   des::Channel<Response>& response_channel(int client);
   void register_plan(int client, TaskPlan plan) {
     pending_plans_[client] = std::move(plan);
@@ -210,6 +232,18 @@ class Gvm {
   void respond(int client, ResponseType type);
   SimDuration staging_time(Bytes bytes) const;
 
+  // --- resend-loop elision (des::Lookahead) --------------------------------
+  SimTime horizon(SimTime limit) override;
+  void advance(SimTime t) override;
+  /// Whether a resend from `client` landing now would be answered
+  /// `again` and change nothing but counters: the GVM idles on its request
+  /// queue and the answer the client is waiting for has not changed.
+  bool resend_repeats(int client, const Parked& p) const;
+  SimTime chain_time(const Parked& p, long index) const;
+  des::Ancestry chain_ancestry(const Parked& p, long index) const;
+  /// Turns the chain's next resend into a real event at its exact slot.
+  void materialize(int client, Parked& p);
+
   des::Simulator& sim_;
   vcuda::Runtime& runtime_;
   GvmConfig config_;
@@ -223,6 +257,8 @@ class Gvm {
   sched::AdmissionController admission_;
   SimTime armed_wakeup_ = kTimeInfinity;  // earliest pending pump timer
   GvmStats stats_;
+  std::map<int, Parked> parked_;
+  bool lookahead_registered_ = false;
 };
 
 /// The user-process API layer: exposes the VGPU abstraction over the
@@ -257,11 +293,20 @@ class VGpuClient {
   /// Convenience: REQ + `rounds` x (SND, STR, STP..., RCV) + RLS.
   des::Task<> run_task(TaskPlan plan, int rounds);
 
-  /// Number of STP polls that returned WAIT (diagnostics).
+  /// Number of resends answered WAIT / RETRY (diagnostics; complete once
+  /// the client's loop has ended).
   long waits_observed() const { return waits_; }
 
  private:
-  des::Task<Response> call(RequestType type);
+  /// One request/response round trip. `response_event`, when set,
+  /// receives the key of the event that took the response off the channel.
+  des::Task<Response> call(RequestType type,
+                           des::EventKey* response_event = nullptr);
+  /// The paper's polling loop: sends `type`, and while the answer is
+  /// `again` sleeps a poll interval and resends. Returns the first other
+  /// answer. After the first `again` the GVM normally takes the loop over
+  /// (Gvm::park), producing the identical schedule without its events.
+  des::Task<Response> poll(RequestType type, ResponseType again);
 
   des::Simulator& sim_;
   Gvm& gvm_;

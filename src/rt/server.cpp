@@ -1095,6 +1095,9 @@ void RtServer::handle(const RtRequest& request) {
     }
     case RtOp::kRls: {
       respond(client, RtAck::kAck);
+      // A round still waiting for its grant (the client's STR timed out)
+      // is cancelled with the session.
+      client.str_pending = false;
       scheduler_->on_release(client.id, rt_now());
       return_quota(client, /*count_reclaimed=*/false);
       // The entry lingers (release_linger) so a duplicate RLS retry gets

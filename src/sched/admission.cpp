@@ -37,12 +37,29 @@ std::vector<int> pick_victims(
 
 AdmitDecision AdmissionController::admit(Bytes bytes, Bytes device_free,
                                          std::vector<Victim> victims) {
+  AdmitDecision decision = decide(bytes, device_free, std::move(victims));
+  switch (decision.action) {
+    case AdmitAction::kReject:
+      ++stats_.rejected;
+      break;
+    case AdmitAction::kRetry:
+      ++stats_.backpressured;
+      break;
+    case AdmitAction::kAdmit:
+      ++stats_.admitted;
+      stats_.evictions += static_cast<long>(decision.evict.size());
+      break;
+  }
+  return decision;
+}
+
+AdmitDecision AdmissionController::decide(Bytes bytes, Bytes device_free,
+                                          std::vector<Victim> victims) const {
   AdmitDecision decision;
   if (bytes > config_.capacity ||
       (config_.per_client_quota > 0 && bytes > config_.per_client_quota) ||
       (config_.paged && config_.pin_limit > 0 && bytes > config_.pin_limit)) {
     decision.action = AdmitAction::kReject;
-    ++stats_.rejected;
     return decision;
   }
   if (config_.paged) {
@@ -50,33 +67,24 @@ AdmitDecision AdmissionController::admit(Bytes bytes, Bytes device_free,
     // *virtual* budget (device + ledger). Whole-client eviction never
     // happens — the pager spills cold pages instead — so the only
     // outcomes are admit and (ledger exhausted) backpressure.
-    if (bytes <= device_free) {
-      decision.action = AdmitAction::kAdmit;
-      ++stats_.admitted;
-    } else {
-      decision.action = AdmitAction::kRetry;
-      ++stats_.backpressured;
-    }
+    decision.action =
+        bytes <= device_free ? AdmitAction::kAdmit : AdmitAction::kRetry;
     return decision;
   }
   if (bytes <= device_free) {
     decision.action = AdmitAction::kAdmit;
-    ++stats_.admitted;
     return decision;
   }
   if (config_.oversubscribe) {
     decision.evict = pick_victims(bytes, device_free, std::move(victims));
     if (!decision.evict.empty()) {
       decision.action = AdmitAction::kAdmit;
-      ++stats_.admitted;
-      stats_.evictions += static_cast<long>(decision.evict.size());
       return decision;
     }
   }
   // Fits the device but not right now: backpressure until residents
   // release (or, oversubscribed, until someone becomes evictable).
   decision.action = AdmitAction::kRetry;
-  ++stats_.backpressured;
   return decision;
 }
 

@@ -69,6 +69,12 @@ class AdmissionController {
   /// Admission of a new client requesting `bytes` of device memory.
   AdmitDecision admit(Bytes bytes, Bytes device_free,
                       std::vector<Victim> victims);
+  /// admit()'s verdict without counting it.
+  AdmitDecision decide(Bytes bytes, Bytes device_free,
+                       std::vector<Victim> victims) const;
+  /// Counts `retries` kRetry verdicts reached without calling admit() (a
+  /// backpressured client's resends computed in closed form).
+  void count_backpressure(long retries) { stats_.backpressured += retries; }
 
   /// Room-making for a client that is already admitted (a suspended
   /// client's transparent resume before its flush): no quota check, and

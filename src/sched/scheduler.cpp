@@ -76,7 +76,15 @@ void Scheduler::admit(const ClientRequest& request, SimTime now) {
 void Scheduler::on_release(int client, SimTime now) {
   auto it = clients_.find(client);
   if (it == clients_.end()) return;
-  VGPU_ASSERT_MSG(!it->second.pending, "release with a round still pending");
+  if (it->second.pending) {
+    // The client gave up on a round still waiting for its grant (a live
+    // client whose STR timed out, e.g. on a barrier partner that already
+    // left). Cancel the round exactly as a failure does — BarrierCoFlush
+    // shrinks the cohort so the remaining partners are released — rather
+    // than let one client's RLS abort the server.
+    on_failure(client, now);
+    return;
+  }
   do_release(client, now);
   clients_.erase(it);
   ++stats_.released;

@@ -15,10 +15,10 @@
 //   enqueue(client, now)   client has a round ready to run (STR)
 //   pick_next(now)         -> ordered batch of clients to dispatch now
 //   on_complete(client)    a dispatched round finished (stream drained)
-//   on_release(client)     client deregistered (RLS)
+//   on_release(client)     client deregistered (RLS); a round still
+//                          pending is cancelled through on_failure
 //   on_failure(client)     client died (lease expiry / crash): any pending
 //                          round is dropped and the client is deregistered;
-//                          unlike on_release this is legal mid-round, and
 //                          BarrierCoFlush shrinks its effective width so
 //                          the surviving cohort's wave still releases
 //   next_wakeup(now)       absolute time to poll pick_next() again even if
@@ -98,7 +98,8 @@ struct SchedulerConfig {
 struct SchedStats {
   long admitted = 0;
   long released = 0;
-  long failures = 0;          // on_failure() removals (dead clients)
+  long failures = 0;          // on_failure() removals (dead clients, and
+                              // RLS cancelling a still-pending round)
   long migrated = 0;          // on_migrate() removals (moved to another
                               // device's scheduler between rounds)
   long enqueued = 0;

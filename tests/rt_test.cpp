@@ -141,6 +141,61 @@ TEST(RtServer, SlowKernelYieldsWaits) {
   server.stop();
 }
 
+TEST(RtServer, ReleaseWithAStrandedStrCancelsItInsteadOfAborting) {
+  // Two clients at barrier width 2 run one round together; client 1 then
+  // releases. Client 0's next STR can never meet its partner, so it times
+  // out — and its RLS, arriving with that round still pending, must cancel
+  // the round (not abort the server). Later clients attach and run a
+  // round as usual (as a new width-2 wave: the strict barrier is kept).
+  const std::string prefix = unique_prefix("strand");
+  RtServer server(server_config(prefix, /*expected_clients=*/2, 2),
+                  builtin_registry());
+  ASSERT_TRUE(server.start().ok());
+  auto kid = builtin_registry().id_of("vecadd");
+  ASSERT_TRUE(kid.ok());
+  constexpr long kN = 256;
+  const std::int64_t params[4] = {kN, 0, 0, 0};
+  RtClientOptions quick;
+  quick.op_timeout = std::chrono::milliseconds(100);
+  quick.max_retries = 1;
+
+  auto first = RtClient::connect(prefix, 0, 2 * kN * 4, kN * 4, quick);
+  auto second = RtClient::connect(prefix, 1, 2 * kN * 4, kN * 4);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  std::atomic<bool> partner_ok{false};
+  std::thread partner([&] {
+    partner_ok = second->req(*kid, params).ok() && second->snd().ok() &&
+                 second->str().ok() && second->wait_done().ok() &&
+                 second->rcv().ok() && second->rls().ok();
+  });
+  ASSERT_TRUE(first->req(*kid, params).ok());
+  ASSERT_TRUE(first->snd().ok());
+  ASSERT_TRUE(first->str().ok());
+  ASSERT_TRUE(first->wait_done().ok());
+  ASSERT_TRUE(first->rcv().ok());
+  partner.join();
+  ASSERT_TRUE(partner_ok.load());
+
+  ASSERT_TRUE(first->snd().ok());
+  EXPECT_FALSE(first->str().ok());  // stranded at the barrier
+  EXPECT_TRUE(first->rls().ok());
+
+  std::vector<bool> ok(2, false);
+  std::vector<std::thread> wave;
+  for (int c = 0; c < 2; ++c) {
+    wave.emplace_back([&, c] {
+      ok[static_cast<std::size_t>(c)] = run_vecadd_client(prefix, 2 + c, kN);
+    });
+  }
+  for (auto& t : wave) t.join();
+  server.stop();
+  EXPECT_TRUE(ok[0]);
+  EXPECT_TRUE(ok[1]);
+  EXPECT_EQ(server.scheduler().stats().failures, 1);
+  EXPECT_EQ(server.stats().jobs_run.load(), 4);
+}
+
 TEST(RtServer, EpKernelMatchesSequentialReference) {
   const std::string prefix = unique_prefix("ep");
   RtServer server(server_config(prefix, 1, 2), builtin_registry());

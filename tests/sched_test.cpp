@@ -600,6 +600,75 @@ TEST(FailurePath, FairShareForgetsTheDeadFlow) {
   EXPECT_EQ(sched->stats().failures, 1);
 }
 
+// RLS with a round still pending (a live client whose STR timed out) must
+// cancel that round like a failure, never abort: one policy each.
+
+TEST(ReleasePending, BarrierCancelsTheRoundAndFreesThePartners) {
+  SchedulerConfig config;
+  config.policy = Policy::kBarrierCoFlush;
+  config.barrier_width = 3;
+  auto sched = Scheduler::make(config);
+  for (int c = 0; c < 3; ++c) sched->admit(request(c, kMiB), 0);
+  sched->enqueue(0, 10);
+  sched->enqueue(2, 20);
+  ASSERT_TRUE(sched->pick_next(30).empty());  // waiting for client 1
+  // Client 2 gives up on its round (its STR timed out) and releases: the
+  // round is cancelled, not granted as a ghost, and the cohort shrinks so
+  // the remaining partners' wave still releases.
+  sched->on_release(2, 40);
+  EXPECT_EQ(sched->pending(), 1u);
+  EXPECT_EQ(sched->stats().failures, 1);
+  sched->enqueue(1, 50);
+  EXPECT_EQ(sched->pick_next(60), (std::vector<int>{0, 1}));
+}
+
+TEST(ReleasePending, TimeQuantumCancelsTheQueuedRound) {
+  auto sched = Scheduler::make(tq_config());
+  sched->admit(request(0, kMiB), 0);
+  sched->admit(request(1, kMiB), 0);
+  sched->enqueue(0, 0);
+  ASSERT_EQ(sched->pick_next(0), std::vector<int>{0});
+  sched->enqueue(1, 10);  // queued behind holder 0's window
+  sched->on_release(1, 20);
+  EXPECT_EQ(sched->pending(), 0u);
+  EXPECT_EQ(sched->stats().failures, 1);
+  sched->on_complete(0, 30);
+  sched->enqueue(0, 40);
+  EXPECT_EQ(sched->pick_next(50), std::vector<int>{0});
+}
+
+TEST(ReleasePending, FairShareNeverGrantsTheCancelledRound) {
+  SchedulerConfig config;
+  config.policy = Policy::kFairShare;
+  auto sched = Scheduler::make(config);
+  sched->admit(request(0, kMiB), 0);
+  sched->admit(request(1, kMiB), 0);
+  sched->enqueue(0, 0);
+  sched->enqueue(1, 0);
+  sched->on_release(0, 1);
+  EXPECT_EQ(sched->stats().failures, 1);
+  for (SimTime now = 2; now < 5; ++now) {
+    for (int id : sched->pick_next(now)) {
+      EXPECT_EQ(id, 1);
+      sched->on_complete(id, now);
+      sched->enqueue(id, now);
+    }
+  }
+}
+
+TEST(ReleasePending, PriorityAgingGrantsTheSurvivor) {
+  SchedulerConfig config;
+  config.policy = Policy::kPriorityAging;
+  auto sched = Scheduler::make(config);
+  sched->admit(request(0, kMiB, 0, /*priority=*/5), 0);
+  sched->admit(request(1, kMiB), 0);
+  sched->enqueue(0, 0);
+  sched->enqueue(1, 0);
+  sched->on_release(0, 1);  // the high-priority round is cancelled
+  EXPECT_EQ(sched->stats().failures, 1);
+  EXPECT_EQ(sched->pick_next(2), std::vector<int>{1});
+}
+
 }  // namespace
 }  // namespace vgpu::sched
 
