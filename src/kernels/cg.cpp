@@ -76,6 +76,35 @@ double dot_d(std::span<const double> a, std::span<const double> b) {
 }
 }  // namespace
 
+double cg_iteration(const CsrMatrix& a, std::span<const double> x,
+                    std::span<const double> r, std::span<const double> p,
+                    std::span<double> x_next, std::span<double> r_next,
+                    std::span<double> p_next, const ParallelFor& pf) {
+  const auto n = static_cast<std::size_t>(a.n);
+  VGPU_ASSERT(x.size() == n && r.size() == n && p.size() == n);
+  VGPU_ASSERT(x_next.size() == n && r_next.size() == n && p_next.size() == n);
+  std::vector<double> ap(n);
+  spmv(a, p, ap, pf);
+  const double rho = dot_d(r, r);
+  const double alpha = rho / dot_d(p, ap);
+  pf(static_cast<long>(n), [&](long begin, long end) {
+    for (long i = begin; i < end; ++i) {
+      const auto idx = static_cast<std::size_t>(i);
+      x_next[idx] = x[idx] + alpha * p[idx];
+      r_next[idx] = r[idx] - alpha * ap[idx];
+    }
+  });
+  const double rho_next = dot_d(r_next, r_next);
+  const double beta = rho_next / rho;
+  pf(static_cast<long>(n), [&](long begin, long end) {
+    for (long i = begin; i < end; ++i) {
+      const auto idx = static_cast<std::size_t>(i);
+      p_next[idx] = r_next[idx] + beta * p[idx];
+    }
+  });
+  return rho_next;
+}
+
 CgResult cg_solve(const CsrMatrix& a, std::span<const double> b,
                   std::span<double> x, int max_iters, double tol,
                   const ParallelFor& pf) {
@@ -85,7 +114,6 @@ CgResult cg_solve(const CsrMatrix& a, std::span<const double> b,
 
   std::vector<double> r(b.begin(), b.end());  // r = b - A*0
   std::vector<double> p = r;
-  std::vector<double> ap(n);
 
   CgResult result;
   double rho = dot_d(r, r);
@@ -93,24 +121,7 @@ CgResult cg_solve(const CsrMatrix& a, std::span<const double> b,
 
   for (int it = 0; it < max_iters; ++it) {
     if (std::sqrt(rho) <= tol) break;
-    spmv(a, p, ap, pf);
-    const double alpha = rho / dot_d(p, ap);
-    pf(static_cast<long>(n), [&](long begin, long end) {
-      for (long i = begin; i < end; ++i) {
-        const auto idx = static_cast<std::size_t>(i);
-        x[idx] += alpha * p[idx];
-        r[idx] -= alpha * ap[idx];
-      }
-    });
-    const double rho_next = dot_d(r, r);
-    const double beta = rho_next / rho;
-    pf(static_cast<long>(n), [&](long begin, long end) {
-      for (long i = begin; i < end; ++i) {
-        const auto idx = static_cast<std::size_t>(i);
-        p[idx] = r[idx] + beta * p[idx];
-      }
-    });
-    rho = rho_next;
+    rho = cg_iteration(a, x, r, p, x, r, p, pf);
     ++result.iterations;
     result.residual_history.push_back(std::sqrt(rho));
   }

@@ -39,10 +39,21 @@ struct CgResult {
   std::vector<double> residual_history;
 };
 
+/// One CG iteration, the loop body of cg_solve: from iterate x, residual r
+/// and search direction p, writes x' = x + alpha p, r' = r - alpha A p and
+/// p' = r' + beta p, and returns rho' = r'.r'. Each output may alias its
+/// input (cg_solve updates in place). `pf` shards spmv and the updates;
+/// the dot products stay serial, a fixed reduction order, so every
+/// executor produces the same bits.
+double cg_iteration(const CsrMatrix& a, std::span<const double> x,
+                    std::span<const double> r, std::span<const double> p,
+                    std::span<double> x_next, std::span<double> r_next,
+                    std::span<double> p_next,
+                    const ParallelFor& pf = serial_executor());
+
 /// Conjugate gradient for A x = b starting from x = 0; stops at max_iters
-/// or when the residual norm falls below tol. `pf` shards spmv and the
-/// axpy updates; the dot products stay serial (a fixed reduction order),
-/// so sharded runs are bitwise identical to serial ones.
+/// or when the residual norm falls below tol. Each iteration is one
+/// cg_iteration, so sharded runs are bitwise identical to serial ones.
 CgResult cg_solve(const CsrMatrix& a, std::span<const double> b,
                   std::span<double> x, int max_iters, double tol = 0.0,
                   const ParallelFor& pf = serial_executor());

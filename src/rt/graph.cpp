@@ -165,7 +165,8 @@ StatusOr<RtGraph> plan_graph(std::vector<RtGraphNode> nodes,
       plan.kernel_bytes +=
           static_cast<Bytes>(node.src_bytes + node.dst_bytes);
       plan.kernel_nodes += 1;
-      const RtStream* stream = registry.find_stream(node.kernel_id);
+      const kernels::KernelStream* stream =
+          registry.find_stream(node.kernel_id);
       plan.total_blocks +=
           (stream != nullptr && !has_bindings(node))
               ? static_cast<double>(stream->grid(node.params))
@@ -223,8 +224,8 @@ StatusOr<RtGraph> plan_graph(std::vector<RtGraphNode> nodes,
     if (b.kind != static_cast<std::int32_t>(GraphNodeKind::kKernel)) continue;
     if (b.dep_count != 1) continue;
     if (has_bindings(a) || has_bindings(b)) continue;
-    const RtStream* sa = registry.find_stream(a.kernel_id);
-    const RtStream* sb = registry.find_stream(b.kernel_id);
+    const kernels::KernelStream* sa = registry.find_stream(a.kernel_id);
+    const kernels::KernelStream* sb = registry.find_stream(b.kernel_id);
     if (sa == nullptr || sb == nullptr) continue;
     if (sa->grid(a.params) != sb->grid(b.params)) continue;
     // b must see a's output inside its input span.

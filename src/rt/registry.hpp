@@ -1,125 +1,13 @@
-// Kernel registry for the live runtime.
-//
-// Function objects cannot travel across process boundaries, so clients name
-// kernels by registry id; the GVM server executes the matching function on
-// its worker pool. Client and server link the same registry (same binary or
-// same library), which keeps ids stable — the moral equivalent of the
-// paper's "GVM takes the requested CUDA kernel functions and prepares the
-// kernels when initialized".
-//
-// Kernels may additionally register:
-//  * a sharded variant taking a ParallelFor — the execution engine's seam:
-//    in --exec=sharded mode the server hands it an engine-backed executor
-//    so one launch spreads across the worker pool;
-//  * a geometry function mapping REQ params to the kernel's launch
-//    geometry, which the server feeds to gpu/occupancy.hpp to cap the
-//    shard fan-out at the modeled device's co-resident block count;
-//  * a stream descriptor (block-range runner + input-slice map) enabling
-//    the staged data plane to pipeline chunked input copies against
-//    compute of already-copied chunks.
+// The live runtime names kernels through the kernel table in
+// kernels/registry.hpp: clients send table ids in REQ, the server runs the
+// entry's body. These re-exports keep the runtime's spelling.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <span>
-#include <string>
-#include <vector>
-
-#include "common/parallel.hpp"
-#include "common/status.hpp"
-#include "gpu/cost.hpp"
+#include "kernels/registry.hpp"
 
 namespace vgpu::rt {
 
-/// A kernel: reads `in`, writes `out`; `params` carries up to four scalar
-/// arguments (problem sizes etc.) from the REQ message.
-using RtKernelFn = std::function<void(std::span<const std::byte> in,
-                                      std::span<std::byte> out,
-                                      const std::int64_t* params)>;
-
-/// Sharded kernel variant: same contract plus a ParallelFor the body uses
-/// to distribute its block loops. With serial_executor() it must produce
-/// exactly what the RtKernelFn does.
-using RtShardedKernelFn = std::function<void(
-    std::span<const std::byte> in, std::span<std::byte> out,
-    const std::int64_t* params, const ParallelFor& pf)>;
-
-/// Launch geometry for given REQ params (occupancy-caps the shard count).
-using RtGeometryFn =
-    std::function<gpu::KernelGeometry(const std::int64_t* params)>;
-
-/// Byte ranges of the input buffer a block range reads (max 4 operands).
-struct RtStreamSlice {
-  std::size_t offset = 0;
-  std::size_t len = 0;
-};
-struct RtStreamView {
-  int count = 0;
-  RtStreamSlice slices[4];
-};
-
-/// Streamed-execution descriptor for kernels whose blocks consume disjoint
-/// input slices (elementwise kernels). Lets the server overlap copy-in of
-/// chunk k+1 with compute of chunk k on the staged data plane.
-struct RtStream {
-  /// Total block count for these params (the `run` block space).
-  std::function<long(const std::int64_t* params)> grid;
-  /// Executes blocks [begin, end). Must match the serial kernel bitwise.
-  std::function<void(std::span<const std::byte> in, std::span<std::byte> out,
-                     const std::int64_t* params, long begin, long end)>
-      run;
-  /// Input byte ranges blocks [begin, end) read.
-  std::function<RtStreamView(const std::int64_t* params, long begin,
-                             long end)>
-      input_slices;
-};
-
-class KernelRegistry {
- public:
-  /// Registers and returns the kernel id. Names must be unique. The
-  /// sharded variant and geometry function are optional (serial-only
-  /// kernels simply never fan out).
-  int add(std::string name, RtKernelFn fn,
-          RtShardedKernelFn sharded = nullptr, RtGeometryFn geometry = nullptr);
-
-  /// Attaches a streamed-execution descriptor to an existing kernel.
-  void set_stream(int id, RtStream stream);
-
-  StatusOr<int> id_of(const std::string& name) const;
-  const RtKernelFn* find(int id) const;
-  /// Null when the kernel has no sharded variant (server falls back to
-  /// the serial function).
-  const RtShardedKernelFn* find_sharded(int id) const;
-  const RtGeometryFn* find_geometry(int id) const;
-  const RtStream* find_stream(int id) const;
-  const std::string* name_of(int id) const;
-  std::size_t size() const { return entries_.size(); }
-
- private:
-  struct Entry {
-    std::string name;
-    RtKernelFn fn;
-    RtShardedKernelFn sharded;
-    RtGeometryFn geometry;
-    RtStream stream;
-    bool has_stream = false;
-  };
-  std::vector<Entry> entries_;
-};
-
-/// Registry preloaded with the library's functional kernels:
-///   "vecadd"        params[0]=n        in: [A|B] floats   out: C floats
-///   "saxpy"         params[0]=n        in: [X|Y]          out: Y'
-///   "blackscholes"  params[0]=n        in: [S|X|T]        out: [call|put]
-///   "sgemm"         params[0]=n        in: [A|B]          out: C
-///   "ep"            params[0]=m,[1]=chunks  in: none      out: EpResult
-///   "cg_step"       params[0]=n,[1]=nz  in: [b|x|r|p]  out: [x'|r'|p']
-///                   (one CG iteration — graph workloads chain K of them)
-///   "mg_step"       params[0]=n    in: [u|v]  out: u'  (one V-cycle
-///                   continuing from u, unlike "mg_vcycle"'s u=0 loop)
-///   "sleep_ms"      params[0]=ms       (test helper: busy wait)
-/// All compute kernels carry sharded variants + geometry; the elementwise
-/// ones (vecadd, saxpy, blackscholes) also carry stream descriptors.
-KernelRegistry& builtin_registry();
+using kernels::builtin_registry;
+using kernels::KernelRegistry;
 
 }  // namespace vgpu::rt

@@ -21,6 +21,33 @@ namespace vgpu::rt {
 
 namespace {
 
+// Fixed policy values: no test, bench, tool or example sets another.
+
+/// Sharded mode: target shards per worker per launch. A few shards per
+/// worker let stealing even out shard-cost skew (MG's coarse levels, tail
+/// blocks) while the per-shard dispatch stays small against a block
+/// range; the exec engine uses the same default.
+constexpr int kShardOversubscribe = 4;
+/// Sharded + staged: granularity of the chunked stage-in/write-back
+/// copies. 256 KiB per shard amortizes the shard dispatch over a copy
+/// that runs at memcpy bandwidth, and still splits a MiB-scale staging
+/// buffer across the workers.
+constexpr Bytes kCopyChunk = 256 * kKiB;
+/// Handshake mailboxes in the control region. Arena clients take their
+/// REQ ack here instead of a private response queue; 256 matches the
+/// usual per-user POSIX mqueue cap (fs.mqueue.queues_max), the population
+/// the queue-per-client handshake could serve before the mailboxes.
+constexpr std::uint32_t kHandshakeMailboxes = 256;
+/// Advise transparent hugepages for the pooled vsm arena: one large
+/// segment shared by every arena client wants fewer TLB entries, and the
+/// advice is a no-op where the host has THP off.
+constexpr bool kArenaHugepages = true;
+/// Lease sweep rotation: sessions pid-probed (and lanes reconciled) per
+/// lease_check_interval. 64 kill(pid, 0) probes per tick bound the sweep
+/// at thousands of sessions; populations at or below it keep the
+/// pre-rotation detection latency.
+constexpr std::uint32_t kProbeBatch = 64;
+
 /// Like the DES GVM: for the default barrier policy the width comes from
 /// the legacy `expected_clients` knob, so the two paths configure the
 /// shared policy objects identically.
@@ -212,19 +239,16 @@ Status RtServer::start() {
   // bare P_door region's futex word.
   const std::uint32_t max_sessions =
       static_cast<std::uint32_t>(std::max(1, config_.max_sessions));
-  const std::uint32_t mailboxes =
-      static_cast<std::uint32_t>(std::max(0, config_.handshake_mailboxes));
   auto door = ipc::SharedMemory::create(
-      config_.prefix + "_door",
-      ipc::ControlRegion<RtResponse>::size_for(max_sessions, mailboxes));
+      config_.prefix + "_door", ipc::ControlRegion<RtResponse>::size_for(
+                                    max_sessions, kHandshakeMailboxes));
   if (!door.ok()) return door.status();
   door_shm_ = std::move(*door);
   ctrl_ = ipc::ControlRegion<RtResponse>::init(door_shm_.data(), max_sessions,
-                                               mailboxes);
+                                               kHandshakeMailboxes);
   if (config_.arena_size > 0) {
     auto arena = ipc::ShmArena::create(config_.prefix + "_arena",
-                                       config_.arena_size,
-                                       config_.arena_hugepages);
+                                       config_.arena_size, kArenaHugepages);
     if (!arena.ok()) return arena.status();
     arena_ = std::move(*arena);
   }
@@ -235,7 +259,7 @@ Status RtServer::start() {
   if (config_.exec == ExecMode::kSharded) {
     exec::ExecConfig ec;
     ec.workers = config_.workers;
-    ec.oversubscribe = config_.shard_oversubscribe;
+    ec.oversubscribe = kShardOversubscribe;
     ec.tracer = &obs_.tracer();
     ec.fault = config_.fault;
     engine_ = std::make_unique<exec::ExecEngine>(ec);
@@ -763,13 +787,12 @@ void RtServer::check_leases() {
       }
     }
   }
-  // Bounded pid-probe / lane-reconcile rotation: a probe_batch window of
+  // Bounded pid-probe / lane-reconcile rotation: a kProbeBatch window of
   // slots per sweep instead of every attached client. Populations at or
-  // below probe_batch keep the pre-rotation detection latency.
+  // below kProbeBatch keep the pre-rotation detection latency.
   const std::uint32_t high = sessions_.high_water();
   if (high == 0) return;
-  const std::uint32_t window = std::min(
-      high, static_cast<std::uint32_t>(std::max(1, config_.probe_batch)));
+  const std::uint32_t window = std::min(high, kProbeBatch);
   ring_batch_.clear();
   for (std::uint32_t i = 0; i < window; ++i) {
     const std::uint32_t slot = (probe_cursor_ + i) % high;
@@ -1333,7 +1356,7 @@ void RtServer::handle_req(const RtRequest& request) {
   }
   backpressure_counts_.erase(request.client);
 
-  const RtKernelFn* kernel = registry_.find(request.kernel_id);
+  const kernels::KernelFn* kernel = registry_.find(request.kernel_id);
   if (kernel == nullptr) {
     VGPU_ERROR("rt server: unknown kernel id " << request.kernel_id);
     handshake_reply(request, RtAck::kError, -1);
@@ -1654,42 +1677,20 @@ std::function<void()> RtServer::make_job(int client_id, ClientState& client) {
   client.last_job_graph = false;
   client.job_done->store(false, std::memory_order_release);
   client.job_failed->store(false, std::memory_order_release);
-  // The job captures raw buffer pointers (and, in sharded mode, the
-  // ClientState pointer — stable: slot entries are heap-held, so attach
-  // churn never moves them); ClientState outlives the job because every
-  // destroy path (RLS linger, lease expiry, re-attach replacement) gates
-  // on job_done, and stop() drains the pool before detaching sessions.
+  // The job captures the ClientState pointer — stable: slot entries are
+  // heap-held, so attach churn never moves them. ClientState outlives the
+  // job because every destroy path (RLS linger, lease expiry, re-attach
+  // replacement) gates on job_done, and stop() drains the pool before
+  // detaching sessions.
   auto done = client.job_done;
   auto failed = client.job_failed;
-  const RtKernelFn* kernel = client.kernel;
-  std::span<const std::byte> in;
-  std::span<std::byte> out;
-  if (config_.data_plane == DataPlane::kZeroCopy) {
-    // Kernels run directly on the client's vsm region: no staging copies
-    // on the job path at all.
-    in = client.input_area();
-    out = client.output_area();
-  } else {
-    in = {client.staging_in.data(), client.staging_in.size()};
-    out = {client.staging_out.data(), client.staging_out.size()};
-  }
-  const std::int64_t* params = client.params;
-  const int kernel_id = client.kernel_id;
   ClientState* state = &client;
-  const bool sharded = engine_ != nullptr;
   ipc::Doorbell door(door_shm_.as<ipc::Doorbell::Word>());
-  return [this, kernel, in, out, params, done, failed, client_id, kernel_id,
-          door, state, sharded]() mutable {
+  return [this, done, failed, client_id, door, state]() mutable {
     jobs_in_flight_.fetch_add(1, std::memory_order_acq_rel);
     bool error = false;
     try {
-      if (sharded) {
-        run_sharded_job(*state);
-      } else {
-        const SimTime t0 = obs_.tracer().begin_span();
-        (*kernel)(in, out, params);
-        obs_.tracer().end_span(t0, obs::Phase::kKernel, client_id, kernel_id);
-      }
+      run_job(*state);
     } catch (const std::exception& e) {
       VGPU_ERROR("rt server: kernel job for client " << client_id
                                                      << " threw: " << e.what());
@@ -1718,15 +1719,14 @@ std::function<void()> RtServer::make_job(int client_id, ClientState& client) {
 void RtServer::copy_chunked(std::byte* dst, const std::byte* src,
                             Bytes total) {
   if (total <= 0) return;
-  const Bytes chunk = std::max<Bytes>(1, config_.copy_chunk);
-  const long nchunks = ceil_div(total, chunk);
+  const long nchunks = ceil_div(total, kCopyChunk);
   // Overlap accounting: another job computing while these chunks copy is
   // exactly the copy/compute overlap the serial path cannot have.
   const bool overlapped = jobs_in_flight_.load(std::memory_order_acquire) > 1;
   const Status st = engine_->parallel_for(nchunks, [&](long begin, long end) {
     for (long k = begin; k < end; ++k) {
-      const Bytes off = k * chunk;
-      const Bytes len = std::min(chunk, total - off);
+      const Bytes off = k * kCopyChunk;
+      const Bytes len = std::min(kCopyChunk, total - off);
       std::memcpy(dst + off, src + off, static_cast<std::size_t>(len));
     }
   });
@@ -1735,7 +1735,8 @@ void RtServer::copy_chunked(std::byte* dst, const std::byte* src,
   if (overlapped) stats_.overlap_bytes.fetch_add(total);
 }
 
-void RtServer::run_streamed(ClientState& client, const RtStream& stream,
+void RtServer::run_streamed(ClientState& client,
+                            const kernels::KernelStream& stream,
                             long cap) {
   const long grid = stream.grid(client.params);
   std::span<const std::byte> in{client.staging_in.data(),
@@ -1743,11 +1744,10 @@ void RtServer::run_streamed(ClientState& client, const RtStream& stream,
   std::span<std::byte> out{client.staging_out.data(),
                            client.staging_out.size()};
   std::span<std::byte> vsm_in = client.input_area();
-  // Chunk count: aim for copy_chunk-sized input pieces, at least two so
+  // Chunk count: aim for kCopyChunk-sized input pieces, at least two so
   // the pipeline has something to overlap, never more than the grid.
   const long by_bytes =
-      ceil_div(std::max<Bytes>(1, client.bytes_in),
-               std::max<Bytes>(1, config_.copy_chunk));
+      ceil_div(std::max<Bytes>(1, client.bytes_in), kCopyChunk);
   const long nchunks = std::clamp(by_bytes, 2L, grid);
   obs::Tracer& tracer = obs_.tracer();
   if (grid <= 1 || nchunks < 2) {
@@ -1769,11 +1769,11 @@ void RtServer::run_streamed(ClientState& client, const RtStream& stream,
     // Per-chunk copy-in span: these overlap the kernel span below — the
     // trace shows exactly which copies hid under compute.
     const SimTime t0 = tracer.begin_span();
-    const RtStreamView view =
+    const kernels::StreamView view =
         stream.input_slices(client.params, chunk_begin(k), chunk_begin(k + 1));
     Bytes bytes = 0;
     for (int s = 0; s < view.count; ++s) {
-      const RtStreamSlice& slice = view.slices[s];
+      const kernels::StreamSlice& slice = view.slices[s];
       if (slice.len == 0) continue;
       std::memcpy(client.staging_in.data() + slice.offset,
                   vsm_in.data() + slice.offset, slice.len);
@@ -1821,44 +1821,48 @@ void RtServer::run_streamed(ClientState& client, const RtStream& stream,
   tracer.end_span(o0, obs::Phase::kCopyOut, client.id, client.kernel_id);
 }
 
-void RtServer::run_sharded_job(ClientState& client) {
+long RtServer::shard_cap(int kernel_id, const std::int64_t* params) const {
+  const kernels::GeometryFn* geometry = registry_.find_geometry(kernel_id);
+  return geometry != nullptr
+             ? exec::occupancy_shard_cap(config_.device, (*geometry)(params))
+             : 0;
+}
+
+void RtServer::run_job(ClientState& client) {
   const bool staged = config_.data_plane == DataPlane::kStaged;
+  const kernels::KernelFn& kernel = *client.kernel;
+  obs::Tracer& tracer = obs_.tracer();
+  std::span<const std::byte> in = client.input_area();
+  std::span<std::byte> out = client.output_area();
+  if (staged) {
+    in = {client.staging_in.data(), client.staging_in.size()};
+    out = {client.staging_out.data(), client.staging_out.size()};
+  }
+  if (engine_ == nullptr) {
+    // Serial mode: the whole grid as one shard on this pool thread. The
+    // serve thread stages the input at SND and writes it back at STP.
+    const SimTime k0 = tracer.begin_span();
+    kernel(in, out, client.params, serial_executor());
+    tracer.end_span(k0, obs::Phase::kKernel, client.id, client.kernel_id);
+    return;
+  }
   // Occupancy cap: the launch fans out to at most the number of blocks of
   // this kernel's geometry the modeled device can co-schedule.
-  long cap = 0;
-  if (const RtGeometryFn* geometry = registry_.find_geometry(client.kernel_id);
-      geometry != nullptr) {
-    cap = exec::occupancy_shard_cap(config_.device, (*geometry)(client.params));
-  }
+  const long cap = shard_cap(client.kernel_id, client.params);
   if (staged) {
-    if (const RtStream* stream = registry_.find_stream(client.kernel_id);
+    if (const kernels::KernelStream* stream =
+            registry_.find_stream(client.kernel_id);
         stream != nullptr) {
       run_streamed(client, *stream, cap);
       return;
     }
-  }
-  obs::Tracer& tracer = obs_.tracer();
-  std::span<const std::byte> in;
-  std::span<std::byte> out;
-  if (staged) {
     const SimTime t0 = tracer.begin_span();
     copy_chunked(client.staging_in.data(), client.input_area().data(),
                  client.bytes_in);
     tracer.end_span(t0, obs::Phase::kCopyIn, client.id, client.kernel_id);
-    in = {client.staging_in.data(), client.staging_in.size()};
-    out = {client.staging_out.data(), client.staging_out.size()};
-  } else {
-    in = client.input_area();
-    out = client.output_area();
   }
   const SimTime k0 = tracer.begin_span();
-  if (const RtShardedKernelFn* sharded =
-          registry_.find_sharded(client.kernel_id);
-      sharded != nullptr) {
-    (*sharded)(in, out, client.params, engine_->executor(cap));
-  } else {
-    (*client.kernel)(in, out, client.params);
-  }
+  kernel(in, out, client.params, engine_->executor(cap));
   tracer.end_span(k0, obs::Phase::kKernel, client.id, client.kernel_id);
   if (staged) {
     const SimTime t0 = tracer.begin_span();
@@ -1964,17 +1968,12 @@ void RtServer::run_graph_job(ClientState& client, const RtGraph& graph,
       long cap = 0;
       for (int k = idx; k >= 0; k = plan.fuse_next[k]) {
         const RtGraphNode* n = &graph.nodes[k];
-        const RtStream* stream = registry_.find_stream(n->kernel_id);
+        const kernels::KernelStream* stream =
+            registry_.find_stream(n->kernel_id);
         grid = stream->grid(n->params);
-        if (const RtGeometryFn* geometry =
-                registry_.find_geometry(n->kernel_id);
-            geometry != nullptr) {
-          const long member_cap =
-              exec::occupancy_shard_cap(config_.device,
-                                        (*geometry)(n->params));
-          if (member_cap > 0) {
-            cap = cap > 0 ? std::min(cap, member_cap) : member_cap;
-          }
+        if (const long member_cap = shard_cap(n->kernel_id, n->params);
+            member_cap > 0) {
+          cap = cap > 0 ? std::min(cap, member_cap) : member_cap;
         }
         const std::span<const std::byte> in = data.subspan(
             static_cast<std::size_t>(n->src_offset),
@@ -2002,17 +2001,12 @@ void RtServer::run_graph_job(ClientState& client, const RtGraph& graph,
     const std::span<std::byte> out =
         data.subspan(static_cast<std::size_t>(node.dst_offset),
                      static_cast<std::size_t>(node.dst_bytes));
-    long cap = 0;
-    if (const RtGeometryFn* geometry = registry_.find_geometry(node.kernel_id);
-        geometry != nullptr) {
-      cap = exec::occupancy_shard_cap(config_.device, (*geometry)(params));
-    }
-    const RtShardedKernelFn* sharded =
-        engine_ != nullptr ? registry_.find_sharded(node.kernel_id) : nullptr;
-    if (sharded != nullptr) {
-      (*sharded)(in, out, params, engine_->executor(cap));
+    const kernels::KernelFn& kernel = *registry_.find(node.kernel_id);
+    if (engine_ != nullptr) {
+      kernel(in, out, params,
+             engine_->executor(shard_cap(node.kernel_id, params)));
     } else {
-      (*registry_.find(node.kernel_id))(in, out, params);
+      kernel(in, out, params, serial_executor());
     }
     tracer.end_span(n0, obs::Phase::kGraphNode, client.id, node.kernel_id);
   };

@@ -113,12 +113,6 @@ struct RtServerConfig {
   DataPlane data_plane = DataPlane::kStaged;
   /// Execution mode for granted kernels (see ExecMode).
   ExecMode exec = ExecMode::kSerial;
-  /// Sharded mode: target shards per worker per launch (engine
-  /// oversubscription; stealing evens out shard-cost skew).
-  int shard_oversubscribe = 4;
-  /// Sharded + staged: copy-chunk granularity for the overlapped
-  /// stage-in/write-back path.
-  Bytes copy_chunk = 256 * kKiB;
   /// Modeled device for occupancy shard caps (sharded mode).
   gpu::DeviceSpec device = gpu::tesla_c2070();
   /// Serve-loop wait strategy (spin -> yield -> doorbell park).
@@ -127,21 +121,11 @@ struct RtServerConfig {
   /// control region's ready set is sized for. Attaches beyond it answer
   /// kWait (backpressure), never a crash.
   int max_sessions = 4096;
-  /// Handshake mailboxes in the control region. Arena clients take their
-  /// REQ ack here instead of a private response queue — POSIX caps the
-  /// per-user mqueue count (fs.mqueue.queues_max, typically 256) far
-  /// below the populations the load harness drives.
-  int handshake_mailboxes = 256;
   /// Pooled vsm arena size; 0 disables (every client creates a private
   /// P_vsm<k> segment). When set, clients advertising the arena
   /// capability get their region carved out of one shared
   /// (hugepage-advised) segment — see docs/scaling.md.
   Bytes arena_size = 0;
-  bool arena_hugepages = true;
-  /// Lease sweep rotation: sessions pid-probed (and lanes reconciled)
-  /// per lease_check_interval. Bounds the sweep at scale; populations at
-  /// or below this see exactly the pre-rotation probe latency.
-  int probe_batch = 64;
   /// Observability: span tracing (per-job queue/Tin/Tcomp/Tout phases)
   /// and ring sizing. The metrics registry is always on; stop() exports
   /// every legacy counter into it (see docs/observability.md).
@@ -375,7 +359,7 @@ class RtServer {
     std::int64_t token() const { return make_session_token(slot, generation); }
     std::vector<std::byte> staging_in;   // staged data plane only
     std::vector<std::byte> staging_out;
-    const RtKernelFn* kernel = nullptr;
+    const kernels::KernelFn* kernel = nullptr;
     int id = -1;         // client id (the span lane)
     int kernel_id = -1;
     /// STR arrival per the tracer clock; closes the kQueueWait span at
@@ -505,12 +489,17 @@ class RtServer {
   /// one kGraph span.
   void run_graph_job(ClientState& client, const RtGraph& graph,
                      const std::int64_t* bindings);
-  /// Job body for sharded mode: chunked stage-in, engine-sharded kernel,
-  /// chunked write-back (runs on an engine worker).
-  void run_sharded_job(ClientState& client);
+  /// Job body. Serial mode runs the kernel on serial_executor(); sharded
+  /// mode does a chunked stage-in, the engine-sharded kernel and a
+  /// chunked write-back (on an engine worker).
+  void run_job(ClientState& client);
+  /// Occupancy shard cap of a launch (0 = uncapped): the blocks of the
+  /// kernel's geometry the modeled device can co-schedule.
+  long shard_cap(int kernel_id, const std::int64_t* params) const;
   /// Pipelined elementwise path: copy chunk k+1's input slices while
   /// chunk k computes (double-buffered copy/compute overlap).
-  void run_streamed(ClientState& client, const RtStream& stream, long cap);
+  void run_streamed(ClientState& client, const kernels::KernelStream& stream,
+                    long cap);
   /// Chunked memcpy on the engine; counts overlap when other jobs are in
   /// flight.
   void copy_chunked(std::byte* dst, const std::byte* src, Bytes total);
@@ -533,7 +522,7 @@ class RtServer {
   /// Lease sweep (rate-limited by lease_check_interval): pops only the
   /// *due* entries off the deadline heap (silent expiry, linger GC,
   /// doomed reclaim), then rotates a bounded pid-probe/lane-reconcile
-  /// window of probe_batch sessions — idle wakeups stop scanning every
+  /// window of kProbeBatch sessions — idle wakeups stop scanning every
   /// client.
   void check_leases();
   /// Pushes a lazily-validated deadline for `client` onto the heap.

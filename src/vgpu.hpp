@@ -7,8 +7,8 @@
 //   des/       deterministic coroutine discrete-event engine
 //   gpu/       Fermi-class device model (+ occupancy, trace, memory)
 //   vcuda/     CUDA-style runtime (contexts, streams, events)
-//   vcl/       OpenCL-flavored frontend
-//   kernels/   functional benchmark kernels + cost descriptors
+//   kernels/   functional benchmark kernels + cost descriptors + the
+//              kernel table
 //   model/     the paper's analytical model (Eqs. 1-6)
 //   gvm/       the GPU Virtualization Manager (+ multi-GPU, experiments)
 //   baselines/ related-work comparators
@@ -56,10 +56,10 @@
 #include "kernels/is.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/mg.hpp"
+#include "kernels/registry.hpp"
 #include "model/model.hpp"
 #include "rt/client.hpp"
 #include "rt/registry.hpp"
 #include "rt/server.hpp"
-#include "vcl/vcl.hpp"
 #include "vcuda/runtime.hpp"
 #include "workloads/workloads.hpp"

@@ -9,10 +9,7 @@
 #include <sstream>
 
 #include "common/rng.hpp"
-#include "kernels/blackscholes.hpp"
-#include "kernels/blas1.hpp"
 #include "kernels/ep.hpp"
-#include "kernels/matmul.hpp"
 #include "workloads/workloads.hpp"
 
 namespace vgpu::workloads::trace {
@@ -594,13 +591,6 @@ StatusOr<JobShape> job_shape(const std::string& kernel, long scale) {
         f[i] = static_cast<float>(rng.uniform(-8.0, 8.0));
       }
     };
-    shape.body = [n](gvm::TaskBuffers& buffers) {
-      const float* in = buffers.in->as<float>();
-      float* out = buffers.out->as<float>();
-      VGPU_ASSERT(in != nullptr && out != nullptr);
-      const auto un = static_cast<std::size_t>(n);
-      kernels::vecadd({in, un}, {in + un, un}, {out, un});
-    };
   } else if (kernel == "sgemm") {
     const long n = scale;  // matrix dimension
     const auto nn = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
@@ -615,13 +605,6 @@ StatusOr<JobShape> job_shape(const std::string& kernel, long scale) {
       for (std::size_t i = 0; i < 2 * nn; ++i) {
         f[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
       }
-    };
-    shape.body = [n, nn](gvm::TaskBuffers& buffers) {
-      const float* in = buffers.in->as<float>();
-      float* out = buffers.out->as<float>();
-      VGPU_ASSERT(in != nullptr && out != nullptr);
-      kernels::sgemm({in, nn}, {in + nn, nn}, {out, nn},
-                     static_cast<int>(n));
     };
   } else if (kernel == "blackscholes") {
     const long n = scale;  // option count
@@ -639,14 +622,6 @@ StatusOr<JobShape> job_shape(const std::string& kernel, long scale) {
         f[un + i] = static_cast<float>(rng.uniform(1.0, 100.0));      // X
         f[2 * un + i] = static_cast<float>(rng.uniform(0.25, 10.0));  // T
       }
-    };
-    shape.body = [un](gvm::TaskBuffers& buffers) {
-      const float* in = buffers.in->as<float>();
-      float* out = buffers.out->as<float>();
-      VGPU_ASSERT(in != nullptr && out != nullptr);
-      kernels::OptionBatch batch{{in, un}, {in + un, un},
-                                 {in + 2 * un, un}, 0.02f, 0.30f};
-      kernels::black_scholes(batch, {out, un}, {out + un, un});
     };
   } else if (kernel == "ep") {
     // Timing-only: the live ep kernel folds its pair counts into an
@@ -676,6 +651,10 @@ StatusOr<JobShape> job_shape(const std::string& kernel, long scale) {
     return InvalidArgument("unknown kernel '" + kernel +
                            "' (try: vecadd sgemm blackscholes ep "
                            "mg_vcycle)");
+  }
+  if (shape.functional) {
+    shape.body = table_body(shape.kernel, {shape.params[0], shape.params[1],
+                                           shape.params[2], shape.params[3]});
   }
   return shape;
 }

@@ -104,13 +104,12 @@ StatusOr<Trace> canonical_mix(const std::string& name,
                               std::uint64_t seed = 42);
 
 /// Everything the replay engines need to run one tenant's job on either
-/// path: the live registry kernel + params + buffer sizes, the DES
-/// cost-model plan for the same shape, and (for kernels with functional
-/// parity between the DES kernel_body and the live registry function) a
-/// deterministic input filler + in-process body enabling the bitwise
-/// DES-vs-live cross-check.
+/// path: the kernel-table kernel + params + buffer sizes, the DES
+/// cost-model plan for the same shape, and (for the functional shapes) a
+/// deterministic input filler + the table's body as the DES kernel_body,
+/// enabling the bitwise DES-vs-live cross-check.
 struct JobShape {
-  std::string kernel;  // live registry name
+  std::string kernel;  // kernel-table name
   std::int64_t params[4] = {};
   Bytes bytes_in = 0;
   Bytes bytes_out = 0;
@@ -119,7 +118,7 @@ struct JobShape {
   /// Fills an input buffer of bytes_in deterministically (same bytes on
   /// both paths — the precondition for output parity).
   std::function<void(std::span<std::byte>)> fill;
-  /// DES kernel body mirroring the live serial registry function.
+  /// DES kernel body: the table entry's body (workloads::table_body).
   std::function<void(gvm::TaskBuffers&)> body;
 };
 

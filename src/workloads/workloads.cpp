@@ -16,6 +16,7 @@
 #include "kernels/is.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/mg.hpp"
+#include "kernels/registry.hpp"
 
 namespace vgpu::workloads {
 
@@ -124,7 +125,23 @@ std::shared_ptr<T> make_state() {
   return std::make_shared<T>();
 }
 
+std::span<std::byte> backing_bytes(vcuda::DeviceBuffer* buffer) {
+  if (buffer == nullptr || buffer->backing == nullptr) return {};
+  return {buffer->backing->data(), buffer->backing->size()};
+}
+
 }  // namespace
+
+std::function<void(gvm::TaskBuffers&)> table_body(
+    const std::string& kernel, std::array<std::int64_t, 4> params) {
+  const kernels::KernelRegistry& table = kernels::builtin_registry();
+  const StatusOr<int> id = table.id_of(kernel);
+  VGPU_ASSERT_MSG(id.ok(), id.status().to_string().c_str());
+  return [body = *table.find(*id), params](gvm::TaskBuffers& buffers) {
+    body(backing_bytes(buffers.in), backing_bytes(buffers.out), params.data(),
+         serial_executor());
+  };
+}
 
 FunctionalWorkload functional_vecadd(long n) {
   struct State {
@@ -143,13 +160,7 @@ FunctionalWorkload functional_vecadd(long n) {
   w.plan.backed = true;
   w.plan.input = st->input.data();
   w.plan.output = st->output.data();
-  w.plan.kernel_body = [n](gvm::TaskBuffers& buffers) {
-    const float* in = buffers.in->as<float>();
-    float* out = buffers.out->as<float>();
-    VGPU_ASSERT(in != nullptr && out != nullptr);
-    const auto un = static_cast<std::size_t>(n);
-    kernels::vecadd({in, un}, {in + un, un}, {out, un});
-  };
+  w.plan.kernel_body = table_body("vecadd", {n});
   w.verify = [st, n] {
     const auto un = static_cast<std::size_t>(n);
     for (std::size_t i = 0; i < un; ++i) {
@@ -184,12 +195,7 @@ FunctionalWorkload functional_matmul(int n) {
   w.plan.backed = true;
   w.plan.input = st->input.data();
   w.plan.output = st->output.data();
-  w.plan.kernel_body = [n, nn](gvm::TaskBuffers& buffers) {
-    const float* in = buffers.in->as<float>();
-    float* out = buffers.out->as<float>();
-    VGPU_ASSERT(in != nullptr && out != nullptr);
-    kernels::sgemm({in, nn}, {in + nn, nn}, {out, nn}, n);
-  };
+  w.plan.kernel_body = table_body("sgemm", {n});
   w.verify = [st, nn] {
     for (std::size_t i = 0; i < nn; ++i) {
       if (std::fabs(st->output[i] - st->expect[i]) > 1e-3f) return false;
@@ -222,14 +228,7 @@ FunctionalWorkload functional_blackscholes(long options) {
   w.plan.backed = true;
   w.plan.input = st->input.data();
   w.plan.output = st->output.data();
-  w.plan.kernel_body = [n](gvm::TaskBuffers& buffers) {
-    const float* in = buffers.in->as<float>();
-    float* out = buffers.out->as<float>();
-    VGPU_ASSERT(in != nullptr && out != nullptr);
-    kernels::OptionBatch batch{{in, n}, {in + n, n}, {in + 2 * n, n},
-                               0.02f, 0.30f};
-    kernels::black_scholes(batch, {out, n}, {out + n, n});
-  };
+  w.plan.kernel_body = table_body("blackscholes", {options});
   w.verify = [st, n] {
     // Put-call parity against the inputs that made the round trip.
     for (std::size_t i = 0; i < n; ++i) {
@@ -260,12 +259,8 @@ FunctionalWorkload functional_ep(int m) {
   w.plan.bytes_out = static_cast<Bytes>(sizeof(kernels::EpResult));
   w.plan.backed = true;
   w.plan.output = &st->output;
-  w.plan.kernel_body = [m](gvm::TaskBuffers& buffers) {
-    auto* out = buffers.out->as<kernels::EpResult>();
-    VGPU_ASSERT(out != nullptr);
-    // Partitioned exactly like the 4-block GPU grid.
-    *out = kernels::ep_chunked(m, 4);
-  };
+  // Partitioned exactly like the 4-block GPU grid.
+  w.plan.kernel_body = table_body("ep", {m, 4});
   w.verify = [st, m] {
     const kernels::EpResult expect = kernels::ep_sequential(m);
     return st->output.q == expect.q &&
@@ -295,16 +290,7 @@ FunctionalWorkload functional_mg(int n, int iterations) {
   w.plan.backed = true;
   w.plan.input = st->input.data();
   w.plan.output = st->output.data();
-  w.plan.kernel_body = [n, iterations](gvm::TaskBuffers& buffers) {
-    const double* in = buffers.in->as<double>();
-    double* out = buffers.out->as<double>();
-    VGPU_ASSERT(in != nullptr && out != nullptr);
-    kernels::Grid3 v(n), u(n);
-    std::memcpy(v.data().data(), in, v.data().size() * sizeof(double));
-    u.fill(0.0);
-    for (int it = 0; it < iterations; ++it) kernels::mg_vcycle(u, v);
-    std::memcpy(out, u.data().data(), u.data().size() * sizeof(double));
-  };
+  w.plan.kernel_body = table_body("mg_vcycle", {n, iterations});
   w.verify = [st] {
     kernels::Grid3 v(st->n), u(st->n), zero(st->n);
     std::memcpy(v.data().data(), st->input.data(),
@@ -320,40 +306,100 @@ FunctionalWorkload functional_mg(int n, int iterations) {
   return w;
 }
 
+namespace {
+
+/// CG's staged input: the right-hand side and the CSR matrix in one buffer
+/// of exactly the plan's bytes_in, so every staging copy moves bytes the
+/// workload owns and the body solves the matrix it was sent:
+///   [b: na doubles | row_ptr: na+1 ints | pad to 8 | val: nnz doubles |
+///    col: nnz ints | zero pad]
+struct CgLayout {
+  std::size_t row_ptr = 0;
+  std::size_t val = 0;
+  std::size_t col = 0;
+  std::size_t end = 0;
+};
+
+CgLayout cg_layout(std::size_t na, std::size_t nnz) {
+  CgLayout l;
+  l.row_ptr = na * sizeof(double);
+  l.val = round_up(l.row_ptr + (na + 1) * sizeof(int), sizeof(double));
+  l.col = l.val + nnz * sizeof(double);
+  l.end = l.col + nnz * sizeof(int);
+  return l;
+}
+
+kernels::CsrMatrix cg_unpack(std::span<const std::byte> in, int na) {
+  const auto un = static_cast<std::size_t>(na);
+  kernels::CsrMatrix a;
+  a.n = na;
+  a.row_ptr.resize(un + 1);
+  const CgLayout head = cg_layout(un, 0);
+  VGPU_ASSERT(head.end <= in.size());
+  std::memcpy(a.row_ptr.data(), in.data() + head.row_ptr,
+              (un + 1) * sizeof(int));
+  const auto nnz = static_cast<std::size_t>(a.row_ptr.back());
+  const CgLayout l = cg_layout(un, nnz);
+  VGPU_ASSERT(l.end <= in.size());
+  a.val.resize(nnz);
+  a.col.resize(nnz);
+  if (nnz > 0) {  // memcpy into an empty vector's null data() is UB
+    std::memcpy(a.val.data(), in.data() + l.val, nnz * sizeof(double));
+    std::memcpy(a.col.data(), in.data() + l.col, nnz * sizeof(int));
+  }
+  return a;
+}
+
+}  // namespace
+
 FunctionalWorkload functional_cg(int na, int iterations) {
   struct State {
     kernels::CsrMatrix matrix;
-    std::vector<double> input;   // b
-    std::vector<double> output;  // x
+    std::vector<double> b;
+    std::vector<std::byte> input;  // b + matrix, see CgLayout
+    std::vector<double> output;    // x
   };
   auto st = make_state<State>();
+  const auto un = static_cast<std::size_t>(na);
   st->matrix = kernels::cg_make_matrix(na, 6, 8.0);
-  st->input.resize(static_cast<std::size_t>(na));
-  st->output.resize(static_cast<std::size_t>(na));
+  st->b.resize(un);
+  st->output.resize(un);
   Rng rng(104);
-  for (auto& v : st->input) v = rng.uniform(-1.0, 1.0);
+  for (auto& v : st->b) v = rng.uniform(-1.0, 1.0);
 
   FunctionalWorkload w;
   w.name = "cg";
   w.plan = npb_cg(na, iterations).plan;
+  const kernels::CsrMatrix& a = st->matrix;
+  const CgLayout l = cg_layout(un, static_cast<std::size_t>(a.nnz()));
+  VGPU_ASSERT(static_cast<Bytes>(l.end) <= w.plan.bytes_in);
+  st->input.resize(static_cast<std::size_t>(w.plan.bytes_in));
+  std::memcpy(st->input.data(), st->b.data(), un * sizeof(double));
+  std::memcpy(st->input.data() + l.row_ptr, a.row_ptr.data(),
+              a.row_ptr.size() * sizeof(int));
+  std::memcpy(st->input.data() + l.val, a.val.data(),
+              a.val.size() * sizeof(double));
+  std::memcpy(st->input.data() + l.col, a.col.data(),
+              a.col.size() * sizeof(int));
   w.plan.backed = true;
   w.plan.input = st->input.data();
   w.plan.output = st->output.data();
-  const kernels::CsrMatrix* matrix = &st->matrix;
-  w.plan.kernel_body = [na, iterations, matrix](gvm::TaskBuffers& buffers) {
-    const double* in = buffers.in->as<double>();
+  w.plan.kernel_body = [na, iterations](gvm::TaskBuffers& buffers) {
+    const std::span<const std::byte> in = backing_bytes(buffers.in);
     double* out = buffers.out->as<double>();
-    VGPU_ASSERT(in != nullptr && out != nullptr);
-    kernels::cg_solve(*matrix, {in, static_cast<std::size_t>(na)},
-                      {out, static_cast<std::size_t>(na)}, iterations, 1e-12);
+    VGPU_ASSERT(out != nullptr);
+    const auto n = static_cast<std::size_t>(na);
+    kernels::cg_solve(cg_unpack(in, na),
+                      {reinterpret_cast<const double*>(in.data()), n},
+                      {out, n}, iterations, 1e-12);
   };
   w.verify = [st] {
     std::vector<double> ax(st->output.size());
     kernels::spmv(st->matrix, st->output, ax);
     double err = 0.0, bnorm = 0.0;
     for (std::size_t i = 0; i < ax.size(); ++i) {
-      err += (st->input[i] - ax[i]) * (st->input[i] - ax[i]);
-      bnorm += st->input[i] * st->input[i];
+      err += (st->b[i] - ax[i]) * (st->b[i] - ax[i]);
+      bnorm += st->b[i] * st->b[i];
     }
     return std::sqrt(err) < 1e-6 * std::sqrt(bnorm) + 1e-9;
   };

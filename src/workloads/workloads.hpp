@@ -9,7 +9,10 @@
 //
 //  * Functional workloads at reduced sizes: backed buffers and kernel
 //    bodies that really compute, with a verify() oracle — used by
-//    integration tests to prove the GVM data path end to end.
+//    integration tests to prove the GVM data path end to end. Kernels the
+//    kernel table (kernels/registry.hpp) holds take their body from it
+//    through table_body(), so the DES computes with the live runtime's
+//    bodies.
 //
 // Paper workload inventory (Tables II & IV):
 //   VectorAdd  50M floats, grid 50K, I/O-intensive
@@ -21,6 +24,8 @@
 //   Electrostatics 100K atoms, 25 slabs, grid 288, compute-intensive
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -55,6 +60,12 @@ Workload electrostatics(long atoms = 100'000, int slabs = 25);
 std::vector<Workload> application_benchmarks();
 
 // --- functional workloads ----------------------------------------------------
+
+/// A TaskPlan::kernel_body running kernel-table entry `kernel` with
+/// `params` on the client's device buffers, on serial_executor(). The
+/// buffers' backing bytes are the body's in/out spans.
+std::function<void(gvm::TaskBuffers&)> table_body(
+    const std::string& kernel, std::array<std::int64_t, 4> params);
 
 /// A reduced-size workload whose kernels really compute; verify() checks
 /// the results that traveled through the full VGPU data path.

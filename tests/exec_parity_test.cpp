@@ -8,17 +8,24 @@
 //   * an adversarial serial executor that splits the grid into uneven
 //     chunks and runs them in REVERSE order — shard scheduling order must
 //     never leak into results.
+// The last test runs every kernel-table entry (kernels/registry.hpp) the
+// same way: the one binding from bytes and params to each kernel that the
+// live server, graph replay, the DES workloads and the trace suite share.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "exec/engine.hpp"
+#include "gpu/spec.hpp"
 #include "kernels/blackscholes.hpp"
 #include "kernels/blas1.hpp"
 #include "kernels/cg.hpp"
@@ -28,6 +35,7 @@
 #include "kernels/is.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/mg.hpp"
+#include "kernels/registry.hpp"
 
 namespace vgpu::kernels {
 namespace {
@@ -269,6 +277,216 @@ TEST(ExecParity, CoulombSlabBitwise) {
                           out.size() * sizeof(float)),
               0);
   });
+}
+
+
+// --- The kernel table ----------------------------------------------------
+
+template <typename T>
+void append_bytes(std::vector<std::byte>& dst, const std::vector<T>& src) {
+  const auto* p = reinterpret_cast<const std::byte*>(src.data());
+  dst.insert(dst.end(), p, p + src.size() * sizeof(T));
+}
+
+template <typename T>
+std::vector<T> as_vector(std::span<const std::byte> bytes, std::size_t count,
+                         std::size_t offset_elems = 0) {
+  std::vector<T> v(count);
+  std::memcpy(v.data(), bytes.data() + offset_elems * sizeof(T),
+              count * sizeof(T));
+  return v;
+}
+
+/// One table entry's launch: input bytes, params, output size, and the
+/// check of an output against the src/kernels reference.
+struct TableCase {
+  std::int64_t params[4] = {};
+  std::vector<std::byte> in;
+  std::size_t out_bytes = 0;
+  std::function<void(std::span<const std::byte> out)> check_reference;
+};
+
+/// Exact match against a reference vector of T.
+template <typename T>
+std::function<void(std::span<const std::byte>)> equals(std::vector<T> want) {
+  return [want = std::move(want)](std::span<const std::byte> out) {
+    ASSERT_GE(out.size(), want.size() * sizeof(T));
+    EXPECT_EQ(std::memcmp(out.data(), want.data(), want.size() * sizeof(T)),
+              0);
+  };
+}
+
+/// Within the reduction bound of ReduceAndDotDeterministicAcrossPartitions.
+std::function<void(std::span<const std::byte>)> near_sum(float want, long n) {
+  return [want, n](std::span<const std::byte> out) {
+    const float got = as_vector<float>(out, 1)[0];
+    EXPECT_NEAR(got, want,
+                1e-4 * std::max(1.0, std::abs(static_cast<double>(want))) +
+                    1e-3 * std::sqrt(static_cast<double>(n)));
+  };
+}
+
+std::map<std::string, TableCase> table_cases() {
+  std::map<std::string, TableCase> cases;
+  {
+    const long n = 1025;  // a tail block
+    const auto a = random_floats(n, 11);
+    const auto b = random_floats(n, 12);
+    std::vector<float> sum(a.size());
+    std::vector<float> axpy = b;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      sum[i] = a[i] + b[i];
+      axpy[i] += 2.0f * a[i];
+    }
+    for (const char* name : {"vecadd", "saxpy"}) {
+      TableCase& c = cases[name];
+      c.params[0] = n;
+      append_bytes(c.in, a);
+      append_bytes(c.in, b);
+      c.out_bytes = n * sizeof(float);
+    }
+    cases["vecadd"].check_reference = equals(sum);
+    cases["saxpy"].check_reference = equals(axpy);
+  }
+  {
+    const long n = 1000;  // 8 blocks of kBsBlock, the last one partial
+    const auto spot = random_floats(n, 13, 10.0, 100.0);
+    const auto strike = random_floats(n, 14, 10.0, 100.0);
+    const auto years = random_floats(n, 15, 0.1, 5.0);
+    OptionBatch batch{spot, strike, years, 0.02f, 0.30f};
+    std::vector<float> prices(2 * n);
+    black_scholes(batch, std::span(prices).first(n),
+                  std::span(prices).subspan(n));
+    TableCase& c = cases["blackscholes"];
+    c.params[0] = n;
+    append_bytes(c.in, spot);
+    append_bytes(c.in, strike);
+    append_bytes(c.in, years);
+    c.out_bytes = 2 * n * sizeof(float);
+    c.check_reference = equals(prices);
+  }
+  {
+    const int n = 33;  // 2x2 tiles with tail tiles
+    const auto nn = static_cast<std::size_t>(n) * n;
+    const auto a = random_floats(nn, 16);
+    const auto b = random_floats(nn, 17);
+    std::vector<float> want(nn);
+    sgemm_reference(a, b, want, n);
+    TableCase& c = cases["sgemm"];
+    c.params[0] = n;
+    append_bytes(c.in, a);
+    append_bytes(c.in, b);
+    c.out_bytes = nn * sizeof(float);
+    c.check_reference = equals(want);
+  }
+  {
+    TableCase& c = cases["ep"];
+    c.params[0] = 12;
+    c.params[1] = 5;
+    c.out_bytes = sizeof(EpResult);
+    c.check_reference = equals(std::vector<EpResult>{ep_chunked(12, 5)});
+  }
+  {
+    const long n = 100000;
+    const auto x = random_floats(n, 18);
+    const auto y = random_floats(n, 19);
+    TableCase& sum = cases["reduce_sum"];
+    sum.params[0] = n;
+    append_bytes(sum.in, x);
+    sum.out_bytes = sizeof(float);
+    sum.check_reference = near_sum(reduce_sum(x), n);
+    TableCase& d = cases["dot"];
+    d.params[0] = n;
+    append_bytes(d.in, x);
+    append_bytes(d.in, y);
+    d.out_bytes = sizeof(float);
+    d.check_reference = near_sum(dot(x, y), n);
+  }
+  {
+    const int n = 16;
+    const Grid3 v = mg_make_rhs(n);
+    Grid3 u(n);
+    u.fill(0.0);
+    mg_vcycle(u, v);
+    TableCase& step = cases["mg_step"];  // continues from u
+    step.params[0] = n;
+    append_bytes(step.in, u.data());
+    append_bytes(step.in, v.data());
+    step.out_bytes = u.data().size() * sizeof(double);
+    mg_vcycle(u, v);
+    step.check_reference = equals(u.data());
+    TableCase& cycles = cases["mg_vcycle"];  // two cycles from u = 0
+    cycles.params[0] = n;
+    cycles.params[1] = 2;
+    append_bytes(cycles.in, v.data());
+    cycles.out_bytes = u.data().size() * sizeof(double);
+    cycles.check_reference = equals(u.data());
+  }
+  {
+    const auto atoms = make_atoms(64, 16.0f);
+    Lattice lat{24, 7, 0.5f, 0.0f};  // the table's slab plane and spacing
+    std::vector<float> want(static_cast<std::size_t>(lat.nx) * lat.ny);
+    coulomb_slab(atoms, lat, want);
+    TableCase& c = cases["coulomb_slab"];
+    c.params[0] = static_cast<std::int64_t>(atoms.size());
+    c.params[1] = lat.nx;
+    c.params[2] = lat.ny;
+    append_bytes(c.in, atoms);
+    c.out_bytes = want.size() * sizeof(float);
+    c.check_reference = equals(want);
+  }
+  {
+    // One step from x = 0, r = p = b is cg_solve's first iteration.
+    const int n = 64;
+    const int nz = 6;
+    std::vector<double> b(static_cast<std::size_t>(n));
+    Rng rng(20);
+    for (double& v : b) v = rng.uniform(-1.0, 1.0);
+    std::vector<double> x(b.size(), 0.0);
+    cg_solve(cg_make_matrix(n, nz, 10.0), b, x, 1);
+    TableCase& c = cases["cg_step"];
+    c.params[0] = n;
+    c.params[1] = nz;
+    append_bytes(c.in, b);
+    append_bytes(c.in, std::vector<double>(b.size(), 0.0));
+    append_bytes(c.in, b);
+    append_bytes(c.in, b);
+    c.out_bytes = 3 * b.size() * sizeof(double);
+    c.check_reference = equals(x);  // x' leads the output
+  }
+  return cases;
+}
+
+TEST(ExecParity, KernelTableEntriesAgreeAcrossExecutorsAndWithReferences) {
+  const KernelRegistry& table = builtin_registry();
+  const std::map<std::string, TableCase> cases = table_cases();
+  exec::ExecConfig config;
+  config.workers = 3;
+  exec::ExecEngine engine(config);
+  const ParallelFor reversed = reversed_executor(3);
+  for (int id = 0; id < static_cast<int>(table.size()); ++id) {
+    const std::string name = *table.name_of(id);
+    if (name == "sleep_ms") continue;
+    SCOPED_TRACE(name);
+    const auto it = cases.find(name);
+    ASSERT_NE(it, cases.end()) << "no parity case for table entry " << name;
+    const TableCase& c = it->second;
+    const KernelFn& body = *table.find(id);
+    const GeometryFn* geometry = table.find_geometry(id);
+    ASSERT_NE(geometry, nullptr);
+    const long cap =
+        exec::occupancy_shard_cap(gpu::tesla_c2070(), (*geometry)(c.params));
+    const auto run = [&](const ParallelFor& pf) {
+      std::vector<std::byte> out(c.out_bytes, std::byte{0x5A});
+      body(c.in, out, c.params, pf);
+      return out;
+    };
+    const std::vector<std::byte> serial = run(serial_executor());
+    EXPECT_EQ(run(engine.executor(cap)), serial);
+    EXPECT_EQ(run(reversed), serial);
+    c.check_reference(serial);
+  }
+  engine.shutdown();
 }
 
 }  // namespace

@@ -608,7 +608,7 @@ TEST(RtServer, KernelExceptionSurfacesAsClientErrorNotCrash) {
     KernelRegistry registry;
     const int boom = registry.add(
         "boom", [](std::span<const std::byte>, std::span<std::byte>,
-                   const std::int64_t*) {
+                   const std::int64_t*, const ParallelFor&) {
           throw std::runtime_error("kernel boom");
         });
     const std::string prefix =

@@ -3,7 +3,10 @@
 // detect corruption), and partition helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
+#include <vector>
 
 #include "kernels/ep.hpp"
 #include "workloads/workloads.hpp"
@@ -101,6 +104,48 @@ INSTANTIATE_TEST_SUITE_P(
     AllWorkloads, VerifyOracle,
     ::testing::ValuesIn(functional_workload_names()),
     [](const auto& info) { return info.param; });
+
+// ---------------------------------------------------------------------------
+// CG staging: the plan's input owns all bytes_in bytes
+// ---------------------------------------------------------------------------
+
+/// Runs a functional plan's body on device buffers staged the way the vcuda
+/// H2D copy stages them (bytes_in bytes read from plan.input), after
+/// `tamper` edits the staged input; delivers the output and verifies.
+template <typename Tamper>
+bool run_staged(FunctionalWorkload& w, const Tamper& tamper) {
+  const auto bytes_in = static_cast<std::size_t>(w.plan.bytes_in);
+  const auto bytes_out = static_cast<std::size_t>(w.plan.bytes_out);
+  vcuda::DeviceBuffer dev_in, dev_out;
+  dev_in.ptr = 1;
+  dev_in.size = w.plan.bytes_in;
+  dev_in.backing = std::make_shared<std::vector<std::byte>>(bytes_in);
+  std::memcpy(dev_in.backing->data(), w.plan.input, bytes_in);
+  tamper(*dev_in.backing);
+  dev_out.ptr = 2;
+  dev_out.size = w.plan.bytes_out;
+  dev_out.backing = std::make_shared<std::vector<std::byte>>(bytes_out);
+  gvm::TaskBuffers buffers{&dev_in, &dev_out};
+  w.plan.kernel_body(buffers);
+  std::memcpy(w.plan.output, dev_out.backing->data(), bytes_out);
+  return w.verify();
+}
+
+TEST(FunctionalCg, StagedInputCarriesTheMatrixTheBodySolves) {
+  // bytes_in models the CSR matrix plus b. The staging copy reads all of
+  // it from plan.input, which therefore must own that many bytes (it once
+  // pointed at the 1 KiB b alone: a 23 KiB over-read per H2D copy).
+  FunctionalWorkload w = functional_cg();
+  EXPECT_TRUE(run_staged(w, [](std::vector<std::byte>&) {}));
+  // The body solves the staged matrix, not a host-side copy of it: a
+  // matrix zeroed in flight cannot produce a solution.
+  FunctionalWorkload zeroed = functional_cg();
+  const std::size_t b_bytes = 128 * sizeof(double);  // default na = 128
+  EXPECT_FALSE(run_staged(zeroed, [&](std::vector<std::byte>& staged) {
+    std::fill(staged.begin() + static_cast<std::ptrdiff_t>(b_bytes),
+              staged.end(), std::byte{0});
+  }));
+}
 
 // ---------------------------------------------------------------------------
 // EP partition helper
