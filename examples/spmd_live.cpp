@@ -136,14 +136,12 @@ int main(int argc, char** argv) {
               "%d/%d processes OK\n",
               server.stats().requests.load(), server.stats().jobs_run.load(),
               server.stats().flushes.load(), nprocs - failures, nprocs);
-  if (exec == rt::ExecMode::kSharded) {
-    const rt::RtExecCounters& e = server.exec_counters();
-    std::printf("exec [%s, %d workers]: %ld launches, %ld shards, %ld "
-                "steals, overlap %ld B\n",
-                rt::exec_mode_name(exec), workers, e.launches,
-                e.shards_executed, e.steals,
-                server.stats().overlap_bytes.load());
-  }
+  const rt::RtExecCounters& e = server.exec_counters();
+  std::printf("exec [%s, %d workers]: %ld jobs, %ld launches, %ld shards, "
+              "%ld steals, overlap %ld B\n",
+              rt::exec_mode_name(exec), workers, e.external_jobs, e.launches,
+              e.shards_executed, e.steals,
+              server.stats().overlap_bytes.load());
   if (!trace_path.empty()) {
     const auto kernel_name = [](int id) {
       const std::string* name = rt::builtin_registry().name_of(id);

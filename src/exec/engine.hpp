@@ -56,7 +56,9 @@ struct ExecConfig {
   /// Target shards per worker per launch; >1 lets stealing even out
   /// shards of uneven cost.
   int oversubscribe = 4;
-  /// Idle-worker parking policy (spin -> yield -> doorbell futex).
+  /// Spin -> yield -> park policy of wait() joins. Idle workers between
+  /// jobs skip the spin and yield phases and park on the doorbell at once,
+  /// in 10 ms futex waits.
   ipc::WaitConfig wait;
   /// Optional span tracer (not owned; must outlive the engine). When set
   /// and enabled, every shard records a kShard span on its worker's lane.
@@ -74,7 +76,7 @@ struct ExecStats {
   std::atomic<long> steals{0};
   /// Shards that missed the owner's deque and went to the global queue.
   std::atomic<long> overflow_pushes{0};
-  /// Fire-and-forget jobs (submit()), e.g. one per granted kernel.
+  /// Fire-and-forget jobs (submit()), one per granted kernel.
   std::atomic<long> external_jobs{0};
 };
 
@@ -137,9 +139,11 @@ class ExecEngine {
   Status parallel_for(long total_blocks, const RangeFn& fn,
                       long max_shards = 0);
 
-  /// Fire-and-forget job on the pool (the server's per-grant kernel job);
-  /// the job body is responsible for its own error handling.
-  Status submit(std::function<void()> job);
+  /// Queues fire-and-forget jobs (the server's granted kernels, one
+  /// cohort at a time) under one lock, with one doorbell ring that wakes
+  /// at most one idle worker per job. Jobs run FIFO; each handles its own
+  /// errors, and a throw that escapes one is logged, not fatal.
+  Status submit(std::vector<std::function<void()>> jobs);
 
   /// A ParallelFor bound to this engine with a fixed shard cap — what the
   /// runtime hands to sharded kernel bodies.

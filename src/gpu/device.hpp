@@ -116,6 +116,7 @@ class Device {
   int open_kernels() const { return static_cast<int>(open_.size()); }
   int active_ops() const { return active_ops_; }
   Bytes memory_used() const { return allocator_.used(); }
+  const DeviceMemoryAllocator& memory() const { return allocator_; }
   bool context_exists(ContextId ctx) const { return contexts_.count(ctx) > 0; }
 
  private:

@@ -40,6 +40,13 @@ StatusOr<DevPtr> DeviceMemoryAllocator::allocate(Bytes size) {
                      " available (" + format_bytes(available()) + " free)");
 }
 
+std::vector<Bytes> DeviceMemoryAllocator::free_extent_sizes() const {
+  std::vector<Bytes> sizes;
+  sizes.reserve(free_.size());
+  for (const auto& [addr, size] : free_) sizes.push_back(size);
+  return sizes;
+}
+
 Status DeviceMemoryAllocator::free(DevPtr ptr) {
   auto it = allocated_.find(ptr);
   if (it == allocated_.end()) {

@@ -10,6 +10,7 @@
 #include <functional>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "common/status.hpp"
 #include "common/units.hpp"
@@ -52,6 +53,9 @@ class DeviceMemoryAllocator {
   Bytes high_water() const { return high_water_; }
   std::size_t live_allocations() const { return allocated_.size(); }
   std::size_t free_extents() const { return free_.size(); }
+  /// Sizes of the free extents in address order, the order allocate()'s
+  /// first fit scans them.
+  std::vector<Bytes> free_extent_sizes() const;
   /// Largest single free extent; the biggest allocation that can succeed
   /// right now regardless of total free bytes.
   Bytes largest_free_extent() const;

@@ -192,8 +192,9 @@ des::Task<> Gvm::handle_req(int client) {
   // backpressured client re-sends the same REQ after a poll interval.
   const TaskPlan& plan = plan_it->second;
   const Bytes needed = plan.bytes_in + plan.bytes_out;
+  const sched::AdmissionController::Fit fit = fit_of(plan);
   sched::AdmitDecision decision =
-      admission_.admit(needed, device_free(), victims(client));
+      admission_.admit(needed, device_free(), victims(client), &fit);
   if (decision.action == sched::AdmitAction::kReject) {
     VGPU_DEBUG("GVM: denied REQ from client " << client << " (" << needed
                                               << " bytes over quota)");
@@ -462,6 +463,16 @@ Bytes Gvm::device_free() const {
   return device.spec().global_mem - device.memory_used();
 }
 
+sched::AdmissionController::Fit Gvm::fit_of(const TaskPlan& plan) const {
+  // handle_req allocates the input buffer, then the output buffer.
+  const gpu::DeviceMemoryAllocator& memory = runtime_.device().memory();
+  sched::AdmissionController::Fit fit;
+  fit.buffers = {plan.bytes_in, plan.bytes_out};
+  fit.free_extents = memory.free_extent_sizes();
+  fit.alignment = gpu::DeviceMemoryAllocator::kAlignment;
+  return fit;
+}
+
 std::vector<sched::AdmissionController::Victim> Gvm::victims(
     int except) const {
   std::vector<sched::AdmissionController::Victim> out;
@@ -573,9 +584,10 @@ bool Gvm::resend_repeats(int client, const Parked& p) const {
   if (requests_.waiting_receivers() == 0) return false;  // GVM busy
   if (p.type == RequestType::kReq) {
     const TaskPlan& plan = pending_plans_.at(client);
+    const sched::AdmissionController::Fit fit = fit_of(plan);
     return admission_
                .decide(plan.bytes_in + plan.bytes_out, device_free(),
-                       victims(client))
+                       victims(client), &fit)
                .action == sched::AdmitAction::kRetry;
   }
   const auto it = clients_.find(client);

@@ -214,6 +214,8 @@ class Gvm : private des::Lookahead {
   /// admission controller's eviction planner).
   des::Task<> relieve_pressure(Bytes needed, int except);
   Bytes device_free() const;
+  /// The allocator layout a REQ for `plan` is placed against.
+  sched::AdmissionController::Fit fit_of(const TaskPlan& plan) const;
   /// Evictable residents for the admission controller (excluding
   /// `except`): idle streams with valid device buffers, not suspended,
   /// not awaiting a grant.

@@ -5,8 +5,8 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <climits>
 #include <ctime>
 #endif
 
@@ -45,14 +45,14 @@ long futex(std::uint32_t* addr, int op, std::uint32_t value,
 }
 }  // namespace
 
-void Doorbell::ring() {
+void Doorbell::ring(int wake) {
   // seq_cst on both sides orders the epoch bump against the waiter-count
   // read: either the ringer sees the registered waiter (and wakes it), or
   // the waiter's FUTEX_WAIT sees the moved epoch (and returns EAGAIN).
   word_->epoch.fetch_add(1, std::memory_order_seq_cst);
   if (word_->waiters.load(std::memory_order_seq_cst) != 0) {
     futex(reinterpret_cast<std::uint32_t*>(&word_->epoch), FUTEX_WAKE,
-          INT_MAX, nullptr);
+          static_cast<std::uint32_t>(std::max(1, wake)), nullptr);
   }
 }
 
@@ -72,7 +72,7 @@ bool Doorbell::wait(std::uint32_t seen, std::chrono::microseconds park) {
 
 #else  // !__linux__
 
-void Doorbell::ring() {
+void Doorbell::ring(int) {
   word_->epoch.fetch_add(1, std::memory_order_seq_cst);
 }
 

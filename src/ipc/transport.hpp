@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -88,8 +89,10 @@ class Doorbell {
     return word_->epoch.load(std::memory_order_acquire);
   }
 
-  /// Publishes a new epoch and wakes every waiter.
-  void ring();
+  /// Publishes a new epoch and wakes up to `wake` waiters (every waiter
+  /// by default). A producer that published n work items passes n, so a
+  /// single job wakes one idle consumer instead of the whole herd.
+  void ring(int wake = INT_MAX);
 
   /// Blocks until the epoch differs from `seen` or `park` elapses.
   /// Returns true when the epoch moved.

@@ -128,7 +128,11 @@ Tracer::Ring* Tracer::thread_ring() {
   return tls.ring;
 }
 
-void Tracer::ensure_thread() { (void)thread_ring(); }
+void Tracer::ensure_thread() {
+  // A disabled tracer registers nothing: record() registers the ring
+  // lazily once tracing is on, and an untraced run keeps its memory.
+  if (enabled()) (void)thread_ring();
+}
 
 void Tracer::record(Phase phase, std::int32_t lane, std::int32_t aux,
                     SimTime begin, SimTime end) {
@@ -172,6 +176,11 @@ long Tracer::dropped() const {
     if (head > capacity) dropped += static_cast<long>(head - capacity);
   }
   return dropped;
+}
+
+std::size_t Tracer::ring_count() const {
+  std::lock_guard<std::mutex> lock(rings_mutex_);
+  return rings_.size();
 }
 
 gpu::Timeline Tracer::timeline(const NameFn& name_fn) const {

@@ -113,8 +113,9 @@ class Tracer {
   }
 
   /// Pre-registers the calling thread's ring (the one allocation a thread
-  /// ever performs); idempotent. Call at thread start to keep the hot
-  /// path allocation-free from the first span.
+  /// ever performs) when tracing is enabled; idempotent, and a no-op while
+  /// disabled. Call at thread start to keep the hot path allocation-free
+  /// from the first span.
   void ensure_thread();
 
   /// Span begin timestamp, or kSpanDisabled when tracing is off.
@@ -136,6 +137,9 @@ class Tracer {
   std::vector<SpanRecord> collect() const;
   /// Records lost to ring wrap-around, across all threads.
   long dropped() const;
+  /// Threads that registered a ring (each ring holds ring_capacity
+  /// records, 1 MiB at the default).
+  std::size_t ring_count() const;
 
   /// Resolves extra naming detail for a span (e.g. aux -> kernel name for
   /// kKernel spans). Returning an empty string keeps the phase name.

@@ -256,23 +256,12 @@ Status RtServer::start() {
                                                     /*max_messages=*/8);
   if (!queue.ok()) return queue.status();
   requests_ = std::move(*queue);
-  if (config_.exec == ExecMode::kSharded) {
-    exec::ExecConfig ec;
-    ec.workers = config_.workers;
-    ec.oversubscribe = kShardOversubscribe;
-    ec.tracer = &obs_.tracer();
-    ec.fault = config_.fault;
-    engine_ = std::make_unique<exec::ExecEngine>(ec);
-  } else {
-    pool_ = std::make_unique<ThreadPool>(
-        config_.workers,
-        [this](const char* what) {
-          // Jobs catch their own exceptions; this backstop only fires for
-          // throws outside the kernel try-block.
-          stats_.jobs_failed.fetch_add(1);
-          VGPU_ERROR("rt server: worker job threw: " << what);
-        });
-  }
+  exec::ExecConfig ec;
+  ec.workers = config_.workers;
+  ec.oversubscribe = kShardOversubscribe;
+  ec.tracer = &obs_.tracer();
+  ec.fault = config_.fault;
+  engine_ = std::make_unique<exec::ExecEngine>(ec);
   if (config_.vmem.enabled) {
     if (device_capacity() <= 0) {
       return InvalidArgument(
@@ -307,23 +296,20 @@ void RtServer::stop() {
   shutdown.op = RtOp::kShutdown;
   (void)requests_.send(shutdown);
   if (serve_thread_.joinable()) serve_thread_.join();
-  pool_.reset();  // drains in-flight jobs
-  if (engine_ != nullptr) {
-    // Jobs have completed (clients RLS before stop in the protocol, and
-    // the engine drains before exit); snapshot the counters for printing.
-    engine_->shutdown();
-    const exec::ExecStats& es = engine_->stats();
-    exec_counters_.launches = es.launches.load();
-    exec_counters_.shards_executed = es.shards_executed.load();
-    exec_counters_.steals = es.steals.load();
-    exec_counters_.overflow_pushes = es.overflow_pushes.load();
-    exec_counters_.external_jobs = es.external_jobs.load();
-    exec_counters_.worker_shards.clear();
-    for (int i = 0; i <= engine_->workers(); ++i) {
-      exec_counters_.worker_shards.push_back(engine_->worker_shards(i));
-    }
-    engine_.reset();
+  // The engine runs queued jobs before its workers exit; then snapshot
+  // its counters for printing.
+  engine_->shutdown();
+  const exec::ExecStats& es = engine_->stats();
+  exec_counters_.launches = es.launches.load();
+  exec_counters_.shards_executed = es.shards_executed.load();
+  exec_counters_.steals = es.steals.load();
+  exec_counters_.overflow_pushes = es.overflow_pushes.load();
+  exec_counters_.external_jobs = es.external_jobs.load();
+  exec_counters_.worker_shards.clear();
+  for (int i = 0; i <= engine_->workers(); ++i) {
+    exec_counters_.worker_shards.push_back(engine_->worker_shards(i));
   }
+  engine_.reset();
   sessions_.for_each(
       [this](std::uint32_t slot, ClientState&) { sessions_.detach(slot); });
   id_slots_.clear();
@@ -1038,8 +1024,8 @@ void RtServer::handle(const RtRequest& request) {
         // fresh bytes.
         pager_of(client)->host_write(client.alloc_in);
       }
-      if (config_.data_plane == DataPlane::kStaged &&
-          config_.exec == ExecMode::kSerial) {
+      if (config_.data_plane == DataPlane::kStaged && !sharded() &&
+          client.bytes_in > 0) {
         // Stage input: virtual shared memory -> private ("pinned") buffer.
         const SimTime t0 = obs_.tracer().begin_span();
         std::memcpy(client.staging_in.data(), client.input_area().data(),
@@ -1093,8 +1079,8 @@ void RtServer::handle(const RtRequest& request) {
         (void)pager_of(client)->ensure_readable(client.alloc_out);
         pager_of(client)->touch(client.alloc_out);
       }
-      if (config_.data_plane == DataPlane::kStaged &&
-          config_.exec == ExecMode::kSerial && !client.last_job_graph) {
+      if (config_.data_plane == DataPlane::kStaged && !sharded() &&
+          !client.last_job_graph && client.bytes_out > 0) {
         // Result: staging buffer -> virtual shared memory (output area).
         // (Sharded jobs already wrote back, chunked, before completing;
         // graph replays write the vsm data area directly.)
@@ -1626,14 +1612,10 @@ void RtServer::pump() {
         scheduler_->set_residency(id, resident);
         pinned_any = true;
       }
-      if (state->graph_pending >= 0) {
-        // A graph grant acks at completion (drain_completions), never at
-        // grant time — that is the whole-graph single-ack contract.
-        jobs.push_back(make_graph_job(id, *state));
-      } else {
-        jobs.push_back(make_job(id, *state));
-        grant_acks_.push_back(state);
-      }
+      // A graph grant acks at completion (drain_completions), never at
+      // grant time — that is the whole-graph single-ack contract.
+      if (state->graph_pending < 0) grant_acks_.push_back(state);
+      jobs.push_back(make_job(id, *state));
     }
     if (barrier_begin != kTimeInfinity && obs_.tracer().enabled()) {
       // Cohort co-flush: first member's STR -> this grant (the barrier
@@ -1642,16 +1624,8 @@ void RtServer::pump() {
                            static_cast<std::int32_t>(cohort),
                            barrier_begin, obs_.tracer().now());
     }
-    // One lock + one wakeup for the whole cohort.
-    Status submitted = Status::Ok();
-    if (engine_ != nullptr) {
-      for (auto& job : jobs) {
-        Status st = engine_->submit(std::move(job));
-        if (!st.ok()) submitted = std::move(st);
-      }
-    } else {
-      submitted = pool_->submit_batch(std::move(jobs));
-    }
+    // One lock + one doorbell ring for the whole cohort.
+    const Status submitted = engine_->submit(std::move(jobs));
     if (!submitted.ok()) {
       VGPU_ERROR("rt server: job submit failed: " << submitted.to_string());
     }
@@ -1674,36 +1648,60 @@ void RtServer::pump() {
 std::function<void()> RtServer::make_job(int client_id, ClientState& client) {
   VGPU_ASSERT_MSG(client.str_pending, "grant without a pending STR");
   client.str_pending = false;
-  client.last_job_graph = false;
   client.job_done->store(false, std::memory_order_release);
   client.job_failed->store(false, std::memory_order_release);
+  // A graph grant replays the cached DAG; the shared_ptr pins the graph
+  // across a concurrent re-upload or session teardown.
+  std::shared_ptr<const RtGraph> graph;
+  std::array<std::int64_t, 4> bindings{};
+  client.last_job_graph = client.graph_pending >= 0;
+  if (client.last_job_graph) {
+    graph = client.graphs.at(client.graph_pending);
+    std::memcpy(bindings.data(), client.graph_params,
+                sizeof(client.graph_params));
+    client.graph_pending = -1;  // consumed by this grant
+  }
   // The job captures the ClientState pointer — stable: slot entries are
   // heap-held, so attach churn never moves them. ClientState outlives the
   // job because every destroy path (RLS linger, lease expiry, re-attach
-  // replacement) gates on job_done, and stop() drains the pool before
+  // replacement) gates on job_done, and stop() drains the engine before
   // detaching sessions.
   auto done = client.job_done;
   auto failed = client.job_failed;
   ClientState* state = &client;
   ipc::Doorbell door(door_shm_.as<ipc::Doorbell::Word>());
-  return [this, done, failed, client_id, door, state]() mutable {
+  return [this, graph, bindings, done, failed, client_id, door,
+          state]() mutable {
+    const char* what = graph != nullptr ? "graph replay" : "kernel job";
     jobs_in_flight_.fetch_add(1, std::memory_order_acq_rel);
     bool error = false;
     try {
-      run_job(*state);
+      if (graph != nullptr) {
+        run_graph_job(*state, *graph, bindings.data());
+      } else {
+        run_job(*state);
+      }
     } catch (const std::exception& e) {
-      VGPU_ERROR("rt server: kernel job for client " << client_id
-                                                     << " threw: " << e.what());
+      VGPU_ERROR("rt server: " << what << " for client " << client_id
+                               << " threw: " << e.what());
       error = true;
     } catch (...) {
-      VGPU_ERROR("rt server: kernel job for client " << client_id
-                                                     << " threw");
+      VGPU_ERROR("rt server: " << what << " for client " << client_id
+                               << " threw");
       error = true;
     }
     jobs_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     if (error) stats_.jobs_failed.fetch_add(1);
-    failed->store(error, std::memory_order_release);
     stats_.jobs_run.fetch_add(1);
+    if (graph != nullptr) {
+      stats_.graph_replays.fetch_add(1);
+      stats_.graph_nodes_run.fetch_add(static_cast<long>(graph->nodes.size()));
+      // Versus per-launch execution each kernel node costs a
+      // SND+STR+STP+RCV exchange; the replay cost one kLaunchGraph message.
+      stats_.graph_messages_saved.fetch_add(
+          std::max<long>(0, 4 * graph->plan.kernel_nodes - 1));
+    }
+    failed->store(error, std::memory_order_release);
     done->store(true, std::memory_order_release);
     // Feed the completion back to the serve thread, which owns the
     // scheduler, then ring its doorbell so a parked loop reacts now.
@@ -1750,20 +1748,6 @@ void RtServer::run_streamed(ClientState& client,
       ceil_div(std::max<Bytes>(1, client.bytes_in), kCopyChunk);
   const long nchunks = std::clamp(by_bytes, 2L, grid);
   obs::Tracer& tracer = obs_.tracer();
-  if (grid <= 1 || nchunks < 2) {
-    // Degenerate grid: plain chunked stage-in, then the whole kernel.
-    const SimTime i0 = tracer.begin_span();
-    copy_chunked(client.staging_in.data(), vsm_in.data(), client.bytes_in);
-    tracer.end_span(i0, obs::Phase::kCopyIn, client.id, client.kernel_id);
-    const SimTime k0 = tracer.begin_span();
-    stream.run(in, out, client.params, 0, grid);
-    tracer.end_span(k0, obs::Phase::kKernel, client.id, client.kernel_id);
-    const SimTime o0 = tracer.begin_span();
-    copy_chunked(client.output_area().data(), client.staging_out.data(),
-                 client.bytes_out);
-    tracer.end_span(o0, obs::Phase::kCopyOut, client.id, client.kernel_id);
-    return;
-  }
   auto chunk_begin = [&](long k) { return grid * k / nchunks; };
   auto copy_in_chunk = [&](long k) {
     // Per-chunk copy-in span: these overlap the kernel span below — the
@@ -1828,8 +1812,17 @@ long RtServer::shard_cap(int kernel_id, const std::int64_t* params) const {
              : 0;
 }
 
+ParallelFor RtServer::executor_for(int kernel_id,
+                                   const std::int64_t* params) {
+  if (!sharded()) return serial_executor();
+  return engine_->executor(shard_cap(kernel_id, params));
+}
+
 void RtServer::run_job(ClientState& client) {
+  // Serial mode stages the input at SND and writes it back at STP, on the
+  // serve thread; sharded mode copies here, chunked on the engine.
   const bool staged = config_.data_plane == DataPlane::kStaged;
+  const bool copy_here = staged && sharded();
   const kernels::KernelFn& kernel = *client.kernel;
   obs::Tracer& tracer = obs_.tracer();
   std::span<const std::byte> in = client.input_area();
@@ -1838,22 +1831,14 @@ void RtServer::run_job(ClientState& client) {
     in = {client.staging_in.data(), client.staging_in.size()};
     out = {client.staging_out.data(), client.staging_out.size()};
   }
-  if (engine_ == nullptr) {
-    // Serial mode: the whole grid as one shard on this pool thread. The
-    // serve thread stages the input at SND and writes it back at STP.
-    const SimTime k0 = tracer.begin_span();
-    kernel(in, out, client.params, serial_executor());
-    tracer.end_span(k0, obs::Phase::kKernel, client.id, client.kernel_id);
-    return;
-  }
-  // Occupancy cap: the launch fans out to at most the number of blocks of
-  // this kernel's geometry the modeled device can co-schedule.
-  const long cap = shard_cap(client.kernel_id, client.params);
-  if (staged) {
+  if (copy_here) {
+    // A grid of at least two blocks pipelines; a smaller one has nothing
+    // to overlap and takes the plain path below.
     if (const kernels::KernelStream* stream =
             registry_.find_stream(client.kernel_id);
-        stream != nullptr) {
-      run_streamed(client, *stream, cap);
+        stream != nullptr && stream->grid(client.params) >= 2) {
+      run_streamed(client, *stream,
+                   shard_cap(client.kernel_id, client.params));
       return;
     }
     const SimTime t0 = tracer.begin_span();
@@ -1862,68 +1847,15 @@ void RtServer::run_job(ClientState& client) {
     tracer.end_span(t0, obs::Phase::kCopyIn, client.id, client.kernel_id);
   }
   const SimTime k0 = tracer.begin_span();
-  kernel(in, out, client.params, engine_->executor(cap));
+  kernel(in, out, client.params,
+         executor_for(client.kernel_id, client.params));
   tracer.end_span(k0, obs::Phase::kKernel, client.id, client.kernel_id);
-  if (staged) {
+  if (copy_here) {
     const SimTime t0 = tracer.begin_span();
     copy_chunked(client.output_area().data(), client.staging_out.data(),
                  client.bytes_out);
     tracer.end_span(t0, obs::Phase::kCopyOut, client.id, client.kernel_id);
   }
-}
-
-std::function<void()> RtServer::make_graph_job(int client_id,
-                                               ClientState& client) {
-  VGPU_ASSERT_MSG(client.str_pending, "graph grant without a pending launch");
-  client.str_pending = false;
-  client.last_job_graph = true;
-  client.job_done->store(false, std::memory_order_release);
-  client.job_failed->store(false, std::memory_order_release);
-  auto done = client.job_done;
-  auto failed = client.job_failed;
-  // The shared_ptr pins the graph across a concurrent re-upload or
-  // session teardown; ClientState itself outlives the job (every destroy
-  // path gates on job_done, see make_job).
-  auto graph = client.graphs.at(client.graph_pending);
-  std::array<std::int64_t, 4> bindings;
-  std::memcpy(bindings.data(), client.graph_params, sizeof(client.graph_params));
-  client.graph_pending = -1;  // consumed by this grant
-  ClientState* state = &client;
-  ipc::Doorbell door(door_shm_.as<ipc::Doorbell::Word>());
-  return [this, graph, bindings, done, failed, client_id, state,
-          door]() mutable {
-    jobs_in_flight_.fetch_add(1, std::memory_order_acq_rel);
-    bool error = false;
-    try {
-      run_graph_job(*state, *graph, bindings.data());
-    } catch (const std::exception& e) {
-      VGPU_ERROR("rt server: graph replay for client "
-                 << client_id << " threw: " << e.what());
-      error = true;
-    } catch (...) {
-      VGPU_ERROR("rt server: graph replay for client " << client_id
-                                                       << " threw");
-      error = true;
-    }
-    jobs_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    if (error) stats_.jobs_failed.fetch_add(1);
-    stats_.jobs_run.fetch_add(1);
-    stats_.graph_replays.fetch_add(1);
-    stats_.graph_nodes_run.fetch_add(
-        static_cast<long>(graph->nodes.size()));
-    // Versus per-launch execution each kernel node costs a SND+STR+STP+RCV
-    // exchange; the replay cost one kLaunchGraph message.
-    stats_.graph_messages_saved.fetch_add(
-        std::max<long>(0, 4 * graph->plan.kernel_nodes - 1));
-    failed->store(error, std::memory_order_release);
-    done->store(true, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(completions_mutex_);
-      completions_.push_back(client_id);
-      pending_completions_.fetch_add(1, std::memory_order_release);
-    }
-    door.ring();
-  };
 }
 
 void RtServer::run_graph_job(ClientState& client, const RtGraph& graph,
@@ -1985,8 +1917,10 @@ void RtServer::run_graph_job(ClientState& client, const RtGraph& graph,
           stream->run(in, out, n->params, b0, b1);
         });
       }
-      const Status st = exec::run_fused(
-          engine_.get(), grid, {stages.data(), stages.size()}, cap);
+      // Serial mode passes no engine: run_fused's chunked serial sweep.
+      const Status st =
+          exec::run_fused(sharded() ? engine_.get() : nullptr, grid,
+                          {stages.data(), stages.size()}, cap);
       if (!st.ok()) throw std::runtime_error(st.to_string());
       fused_tails.fetch_add(static_cast<long>(stages.size()) - 1,
                             std::memory_order_relaxed);
@@ -2002,18 +1936,14 @@ void RtServer::run_graph_job(ClientState& client, const RtGraph& graph,
         data.subspan(static_cast<std::size_t>(node.dst_offset),
                      static_cast<std::size_t>(node.dst_bytes));
     const kernels::KernelFn& kernel = *registry_.find(node.kernel_id);
-    if (engine_ != nullptr) {
-      kernel(in, out, params,
-             engine_->executor(shard_cap(node.kernel_id, params)));
-    } else {
-      kernel(in, out, params, serial_executor());
-    }
+    kernel(in, out, params, executor_for(node.kernel_id, params));
     tracer.end_span(n0, obs::Phase::kGraphNode, client.id, node.kernel_id);
   };
 
   // Level-ordered replay: nodes of one level are mutually unordered
-  // (validated conflict-free), so the engine runs them concurrently; a
-  // fused chain executes as one unit at its head's level.
+  // (validated conflict-free), so sharded mode runs them concurrently on
+  // the engine and serial mode in order; a fused chain executes as one
+  // unit at its head's level.
   std::vector<int> units;
   for (int level = 0; level < plan.level_count; ++level) {
     units.clear();
@@ -2022,19 +1952,16 @@ void RtServer::run_graph_job(ClientState& client, const RtGraph& graph,
         units.push_back(i);
       }
     }
-    if (engine_ != nullptr && units.size() > 1) {
-      exec::ExecEngine::Group group;
-      for (const int idx : units) {
-        const Status st =
-            engine_->launch(group, 1, [&run_unit, idx](long, long) {
-              run_unit(idx);
-            });
-        if (!st.ok()) throw std::runtime_error(st.to_string());
+    // One launch per level, one block per unit; the engine executor
+    // rethrows the first unit exception.
+    const long n = static_cast<long>(units.size());
+    const ParallelFor run_level =
+        sharded() && n > 1 ? engine_->executor(n) : serial_executor();
+    run_level(n, [&](long begin, long end) {
+      for (long u = begin; u < end; ++u) {
+        run_unit(units[static_cast<std::size_t>(u)]);
       }
-      engine_->wait(group);  // rethrows the first unit exception
-    } else {
-      for (const int idx : units) run_unit(idx);
-    }
+    });
   }
   if (const long tails = fused_tails.load(std::memory_order_relaxed);
       tails > 0) {

@@ -41,7 +41,6 @@
 #include "rt/messages.hpp"
 #include "rt/registry.hpp"
 #include "rt/session.hpp"
-#include "rt/thread_pool.hpp"
 #include "sched/admission.hpp"
 #include "sched/placement.hpp"
 #include "sched/scheduler.hpp"
@@ -68,14 +67,17 @@ const char* data_plane_name(DataPlane plane);
 /// Parses the CLI spelling ("staged" | "zero_copy").
 bool parse_data_plane(const std::string& text, DataPlane* out);
 
-/// How granted kernels execute on the worker pool.
+/// How granted kernels execute. Both modes run every job on the one
+/// exec::ExecEngine; the mode decides only which executor a kernel body
+/// gets and where the staged data plane copies.
 enum class ExecMode : std::int32_t {
-  /// One serial job per granted kernel (pre-engine behaviour; a launch
-  /// never uses more than one core).
+  /// Each granted kernel runs whole on one engine worker
+  /// (serial_executor(), so a launch never uses more than one core); the
+  /// serve thread stages the copies at SND and STP.
   kSerial = 0,
-  /// Grid-sharded execution on the work-stealing engine: each launch fans
-  /// out into block-range shards capped by modeled SM occupancy, and the
-  /// staged data plane's copies are chunked and overlapped with compute.
+  /// Grid-sharded execution: each launch fans out into block-range shards
+  /// capped by modeled SM occupancy, and the staged data plane's copies
+  /// are chunked and overlapped with compute inside the job.
   kSharded = 1,
 };
 
@@ -411,7 +413,7 @@ class RtServer {
     std::int64_t graph_upload_total = 0;
     std::int64_t graph_upload_received = 0;
     /// kLaunchGraph granted but not yet jobbed: the graph id
-    /// (make_graph_job consumes it) and the per-iteration bindings.
+    /// (make_job consumes it) and the per-iteration bindings.
     int graph_pending = -1;
     std::int64_t graph_params[4] = {};
     /// Deferred completion ack: a kLaunchGraph is acked once, when the
@@ -475,29 +477,33 @@ class RtServer {
   /// one, else over the client's P_resp<k> queue.
   void handshake_reply(const RtRequest& request, RtAck ack,
                        std::int64_t arena_offset);
-  /// Drains scheduler grants: dispatches every granted client's job batch
-  /// to the worker pool and ACKs the STRs.
+  /// Drains scheduler grants: submits each granted cohort's jobs to the
+  /// engine as one batch and ACKs the STRs.
   void pump();
-  /// Builds the worker-pool job for a granted client (marks it busy).
+  /// Builds the engine job for a granted client (marks it busy): one
+  /// kernel launch, or for a graph grant one replay of the whole cached
+  /// DAG (acked at completion, not at grant time).
   std::function<void()> make_job(int client_id, ClientState& client);
-  /// Graph-grant variant: one job replays the whole cached DAG; the ack
-  /// is deferred to completion (no grant-time STR ack).
-  std::function<void()> make_graph_job(int client_id, ClientState& client);
   /// Replays a graph over the client's data area: level-ordered (nodes of
   /// one level run concurrently under the engine), elementwise chains
   /// fused through exec::run_fused, per-node kGraphNode spans nested in
   /// one kGraph span.
   void run_graph_job(ClientState& client, const RtGraph& graph,
                      const std::int64_t* bindings);
-  /// Job body. Serial mode runs the kernel on serial_executor(); sharded
-  /// mode does a chunked stage-in, the engine-sharded kernel and a
-  /// chunked write-back (on an engine worker).
+  /// Job body (on an engine worker). Serial mode runs the kernel on
+  /// serial_executor(); sharded mode does a chunked stage-in, the
+  /// engine-sharded kernel and a chunked write-back.
   void run_job(ClientState& client);
+  bool sharded() const { return config_.exec == ExecMode::kSharded; }
+  /// The executor a kernel body gets: serial_executor() in serial mode,
+  /// the engine capped at the kernel's occupancy (shard_cap) otherwise.
+  ParallelFor executor_for(int kernel_id, const std::int64_t* params);
   /// Occupancy shard cap of a launch (0 = uncapped): the blocks of the
   /// kernel's geometry the modeled device can co-schedule.
   long shard_cap(int kernel_id, const std::int64_t* params) const;
-  /// Pipelined elementwise path: copy chunk k+1's input slices while
-  /// chunk k computes (double-buffered copy/compute overlap).
+  /// Pipelined elementwise path for grids of two or more blocks: copy
+  /// chunk k+1's input slices while chunk k computes (double-buffered
+  /// copy/compute overlap).
   void run_streamed(ClientState& client, const kernels::KernelStream& stream,
                     long cap);
   /// Chunked memcpy on the engine; counts overlap when other jobs are in
@@ -602,8 +608,7 @@ class RtServer {
   std::mutex completions_mutex_;
   std::vector<int> completions_;  // worker -> serve thread job completions
   std::atomic<int> pending_completions_{0};
-  std::unique_ptr<ThreadPool> pool_;             // serial mode
-  std::unique_ptr<exec::ExecEngine> engine_;     // sharded mode
+  std::unique_ptr<exec::ExecEngine> engine_;  // runs every granted job
   std::atomic<int> jobs_in_flight_{0};
   RtExecCounters exec_counters_;
   std::thread serve_thread_;

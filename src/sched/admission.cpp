@@ -2,9 +2,32 @@
 
 #include <algorithm>
 
+#include "common/math.hpp"
+
 namespace vgpu::sched {
 
 namespace {
+
+/// Bytes the allocator takes for the request: each buffer rounded up.
+Bytes rounded_total(const AdmissionController::Fit& fit) {
+  Bytes total = 0;
+  for (const Bytes b : fit.buffers) total += round_up(b, fit.alignment);
+  return total;
+}
+
+/// Replays the allocator's first fit over a copy of the free extents.
+bool first_fit_places(const AdmissionController::Fit& fit) {
+  std::vector<Bytes> extents = fit.free_extents;
+  for (const Bytes b : fit.buffers) {
+    if (b <= 0) continue;
+    const Bytes need = round_up(b, fit.alignment);
+    const auto it = std::find_if(extents.begin(), extents.end(),
+                                 [need](Bytes e) { return e >= need; });
+    if (it == extents.end()) return false;
+    *it -= need;
+  }
+  return true;
+}
 
 /// Least-recently-active victims first: the longer a client has been
 /// idle, the less likely its working set is needed soon.
@@ -36,8 +59,9 @@ std::vector<int> pick_victims(
 }  // namespace
 
 AdmitDecision AdmissionController::admit(Bytes bytes, Bytes device_free,
-                                         std::vector<Victim> victims) {
-  AdmitDecision decision = decide(bytes, device_free, std::move(victims));
+                                         std::vector<Victim> victims,
+                                         const Fit* fit) {
+  AdmitDecision decision = decide(bytes, device_free, std::move(victims), fit);
   switch (decision.action) {
     case AdmitAction::kReject:
       ++stats_.rejected;
@@ -54,9 +78,11 @@ AdmitDecision AdmissionController::admit(Bytes bytes, Bytes device_free,
 }
 
 AdmitDecision AdmissionController::decide(Bytes bytes, Bytes device_free,
-                                          std::vector<Victim> victims) const {
+                                          std::vector<Victim> victims,
+                                          const Fit* fit) const {
   AdmitDecision decision;
   if (bytes > config_.capacity ||
+      (fit != nullptr && rounded_total(*fit) > config_.capacity) ||
       (config_.per_client_quota > 0 && bytes > config_.per_client_quota) ||
       (config_.paged && config_.pin_limit > 0 && bytes > config_.pin_limit)) {
     decision.action = AdmitAction::kReject;
@@ -71,10 +97,12 @@ AdmitDecision AdmissionController::decide(Bytes bytes, Bytes device_free,
         bytes <= device_free ? AdmitAction::kAdmit : AdmitAction::kRetry;
     return decision;
   }
-  if (bytes <= device_free) {
+  if (bytes <= device_free && (fit == nullptr || first_fit_places(*fit))) {
     decision.action = AdmitAction::kAdmit;
     return decision;
   }
+  // Enough free bytes but no placement: evicting names no victim (the
+  // bytes already suffice), so the verdict below is kRetry.
   if (config_.oversubscribe) {
     decision.evict = pick_victims(bytes, device_free, std::move(victims));
     if (!decision.evict.empty()) {

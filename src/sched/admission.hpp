@@ -64,14 +64,30 @@ class AdmissionController {
     SimTime last_active = 0;
   };
 
+  /// The device allocator's layout, for an allocator-aware verdict: the
+  /// allocator rounds every buffer up to `alignment` and places it first
+  /// fit, in one free extent.
+  struct Fit {
+    /// The request's buffer sizes, in allocation order.
+    std::vector<Bytes> buffers;
+    /// Free extent sizes, in address order (the order first fit scans).
+    std::vector<Bytes> free_extents;
+    Bytes alignment = 1;
+  };
+
   explicit AdmissionController(AdmissionConfig config) : config_(config) {}
 
-  /// Admission of a new client requesting `bytes` of device memory.
+  /// Admission of a new client requesting `bytes` of device memory. With
+  /// `fit`, the request fits now only if first fit places every rounded
+  /// buffer in the free extents, and it is rejected when its rounded
+  /// buffers exceed the capacity; a request that fits the free bytes but
+  /// not the extents is backpressured (kRetry).
   AdmitDecision admit(Bytes bytes, Bytes device_free,
-                      std::vector<Victim> victims);
+                      std::vector<Victim> victims, const Fit* fit = nullptr);
   /// admit()'s verdict without counting it.
   AdmitDecision decide(Bytes bytes, Bytes device_free,
-                       std::vector<Victim> victims) const;
+                       std::vector<Victim> victims,
+                       const Fit* fit = nullptr) const;
   /// Counts `retries` kRetry verdicts reached without calling admit() (a
   /// backpressured client's resends computed in closed form).
   void count_backpressure(long retries) { stats_.backpressured += retries; }

@@ -1,10 +1,13 @@
 // Unit tests for the grid-sharded execution engine: the Chase-Lev deque,
 // shard planning and occupancy caps, parallel_for correctness, work
 // stealing, participating waits (nested parallel_for), shutdown Status
-// semantics, and shard-exception propagation.
+// semantics, batched job submission, and shard- and job-exception
+// handling.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -209,7 +212,7 @@ TEST(ExecEngine, ShardExceptionPropagatesToWaiter) {
 TEST(ExecEngine, SubmitRunsExternalJob) {
   ExecEngine engine;
   std::atomic<bool> ran{false};
-  ASSERT_TRUE(engine.submit([&] { ran.store(true); }).ok());
+  ASSERT_TRUE(engine.submit({[&] { ran.store(true); }}).ok());
   while (!ran.load()) std::this_thread::yield();
   engine.shutdown();
   EXPECT_EQ(engine.stats().external_jobs.load(), 1);
@@ -221,7 +224,59 @@ TEST(ExecEngine, LaunchAfterShutdownReturnsFailedPrecondition) {
   engine.shutdown();  // idempotent
   const Status st = engine.parallel_for(4, [](long, long) {});
   EXPECT_EQ(st.code(), ErrorCode::kFailedPrecondition);
-  EXPECT_EQ(engine.submit([] {}).code(), ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(engine.submit({[] {}}).code(), ErrorCode::kFailedPrecondition);
+}
+
+TEST(ExecEngine, BatchSubmittedAfterShutdownIsRefused) {
+  ExecEngine engine;
+  engine.shutdown();
+  std::atomic<int> ran{0};
+  std::vector<std::function<void()>> batch(3, [&] { ran.fetch_add(1); });
+  EXPECT_EQ(engine.submit(std::move(batch)).code(),
+            ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(ran.load(), 0);
+  EXPECT_EQ(engine.stats().external_jobs.load(), 0);
+}
+
+TEST(ExecEngine, ShutdownRunsAlreadyQueuedJobs) {
+  ExecConfig config;
+  config.workers = 1;
+  ExecEngine engine(config);
+  // The first job holds the only worker, so the rest are still queued
+  // when shutdown() begins.
+  std::atomic<bool> release{false};
+  std::atomic<int> ran{0};
+  std::vector<std::function<void()>> batch(5, [&] { ran.fetch_add(1); });
+  batch[0] = [&] {
+    while (!release.load()) std::this_thread::yield();
+    ran.fetch_add(1);
+  };
+  ASSERT_TRUE(engine.submit(std::move(batch)).ok());
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    release.store(true);
+  });
+  engine.shutdown();
+  releaser.join();
+  EXPECT_EQ(ran.load(), 5);
+}
+
+TEST(ExecEngine, ThrowingJobLeavesTheEngineRunning) {
+  ExecConfig config;
+  config.workers = 1;
+  ExecEngine engine(config);
+  std::atomic<bool> ran{false};
+  ASSERT_TRUE(engine
+                  .submit({[] { throw std::runtime_error("job boom"); },
+                           [&] { ran.store(true); }})
+                  .ok());
+  // The worker that caught the throw still runs jobs and shards.
+  std::atomic<long> count{0};
+  ASSERT_TRUE(
+      engine.parallel_for(8, [&](long b, long e) { count += e - b; }).ok());
+  EXPECT_EQ(count.load(), 8);
+  engine.shutdown();
+  EXPECT_TRUE(ran.load());
 }
 
 TEST(ExecEngine, ExecutorThrowsAfterShutdown) {

@@ -352,6 +352,45 @@ TEST(GraphReplay, FusedChainMatchesSerialAndCountsFusion) {
   }
 }
 
+TEST(GraphReplay, IndependentNodesOfOneLevelMatchTheirOracle) {
+  // Four unordered vecadds form one level: sharded mode runs them as one
+  // engine launch, one block per node; serial mode runs them in order.
+  constexpr long kNodes = 4;
+  const long n = 1 << 16;
+  const Bytes bytes_in = kNodes * 2 * n * 4;
+  const int vecadd = kernel_id("vecadd");
+  const std::int64_t params[4] = {n, 0, 0, 0};
+  std::vector<RtGraphNode> nodes;
+  for (long k = 0; k < kNodes; ++k) {
+    nodes.push_back(kernel_node(vecadd, n, k * 2 * n * 4, 2 * n * 4,
+                                bytes_in + k * n * 4, n * 4));
+  }
+  for (const ExecMode exec : {ExecMode::kSerial, ExecMode::kSharded}) {
+    const std::string prefix = unique_prefix(exec_mode_name(exec));
+    RtServer server(server_config(prefix, 1, 4, exec), builtin_registry());
+    ASSERT_TRUE(server.start().ok());
+    {
+      auto client = RtClient::connect(prefix, 0, bytes_in, kNodes * n * 4);
+      ASSERT_TRUE(client.ok());
+      ASSERT_TRUE(client->req(vecadd, params).ok());
+      ASSERT_TRUE(client->upload_graph(3, nodes).ok());
+      auto* in = reinterpret_cast<float*>(client->input().data());
+      for (long i = 0; i < 2 * kNodes * n; ++i) {
+        in[i] = 0.25f * static_cast<float>(i % 97);
+      }
+      ASSERT_TRUE(client->launch_graph(3).ok());
+      const auto* out = reinterpret_cast<const float*>(client->output().data());
+      for (long i = 0; i < kNodes * n; ++i) {
+        const float* a = in + 2 * n * (i / n) + i % n;
+        ASSERT_EQ(out[i], a[0] + a[n]) << exec_mode_name(exec) << " " << i;
+      }
+      ASSERT_TRUE(client->rls().ok());
+    }
+    server.stop();
+    EXPECT_EQ(server.stats().graph_nodes_run.load(), kNodes);
+  }
+}
+
 TEST(GraphReplay, MgIterationChainMatchesPerLaunchAndBuiltin) {
   const std::string prefix = unique_prefix("mg");
   RtServer server(server_config(prefix, 1, 2), builtin_registry());

@@ -3,10 +3,13 @@
 // with the analytical model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/math.hpp"
+#include "common/rng.hpp"
 #include "gvm/experiment.hpp"
 #include "gvm/gvm.hpp"
 #include "model/model.hpp"
@@ -459,6 +462,42 @@ TEST(SuspendResume, AutoSuspendRelievesMemoryPressure) {
   }
   EXPECT_GT(gvm.stats().pressure_suspends, 0);
   EXPECT_EQ(device.memory_used(), 0);
+}
+
+// A seeded mix of small functional plans on a device sized to half the
+// mix's raw bytes. The allocator rounds every buffer up to 256 B and needs
+// one free extent per buffer, so raw-byte admission used to admit REQs
+// that then aborted in the allocation; now they are retried.
+TEST(GvmAdmission, UnplaceableReqIsRetriedNotAborted) {
+  const auto names = workloads::functional_workload_names();
+  long retried = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    std::vector<workloads::FunctionalWorkload> owners;
+    std::vector<MixedClient> mix(3 + rng.next_below(6));
+    Bytes raw = 0;
+    Bytes largest = 0;
+    for (MixedClient& c : mix) {
+      owners.push_back(
+          workloads::make_functional(names[rng.next_below(names.size())]));
+      c.plan = owners.back().plan;
+      c.rounds = 1 + static_cast<int>(rng.next_below(2));
+      c.arrival = microseconds(5.0 * static_cast<double>(rng.next_below(4)));
+      raw += c.plan.bytes_in + c.plan.bytes_out;
+      largest = std::max(largest, c.plan.bytes_in + c.plan.bytes_out);
+    }
+    gpu::DeviceSpec spec = fast_c2070();
+    // Never below the largest client, rounded: every REQ fits an idle device.
+    spec.global_mem = std::max(raw / 2, largest + 512);
+    GvmConfig config = default_config();
+    config.use_barriers = false;  // backpressured clients join late
+    const RunResult r = run_mixed(spec, config, mix);
+    EXPECT_EQ(r.per_process.size(), mix.size()) << "seed " << seed;
+    EXPECT_EQ(r.admission.admitted, static_cast<long>(mix.size()));
+    EXPECT_EQ(r.admission.rejected, 0) << "seed " << seed;
+    retried += r.admission.backpressured;
+  }
+  EXPECT_GT(retried, 0);
 }
 
 // ---------------------------------------------------------------------------

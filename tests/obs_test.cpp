@@ -172,6 +172,29 @@ TEST(Tracer, DisabledTracerRecordsNothing) {
   EXPECT_EQ(tracer.dropped(), 0);
 }
 
+TEST(Tracer, DisabledEnsureThreadRegistersNoRingAndLaterSpansAreKept) {
+  Tracer tracer;
+  const auto thread_spans = [&](int spans) {
+    std::thread([&] {
+      tracer.ensure_thread();
+      for (int i = 0; i < spans; ++i) {
+        tracer.end_span(tracer.begin_span(), Phase::kKernel, 0, i);
+      }
+    }).join();
+  };
+  tracer.ensure_thread();
+  thread_spans(0);
+  EXPECT_EQ(tracer.ring_count(), 0u);
+  // Enabled later: a thread registers its ring at ensure_thread(), or at
+  // its first record without one (this thread).
+  tracer.enable(true);
+  thread_spans(10);
+  tracer.record(Phase::kKernel, 0, 10, 0, 1);
+  EXPECT_EQ(tracer.ring_count(), 2u);
+  EXPECT_EQ(tracer.collect().size(), 11u);
+  EXPECT_EQ(tracer.dropped(), 0);
+}
+
 TEST(Tracer, SpansCarryPhaseLaneAuxAndMonotoneTimes) {
   TracerConfig config;
   config.enabled = true;

@@ -1,5 +1,5 @@
 // Integration tests for the live GVM runtime: real POSIX message queues and
-// shared memory, a server thread with a worker pool, and concurrent clients
+// shared memory, a server thread with an exec engine, and concurrent clients
 // running the full REQ/SND/STR/STP/RCV/RLS protocol with functional kernels.
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -23,7 +22,6 @@
 #include "rt/client.hpp"
 #include "rt/registry.hpp"
 #include "rt/server.hpp"
-#include "rt/thread_pool.hpp"
 
 namespace vgpu::rt {
 namespace {
@@ -107,7 +105,7 @@ TEST(RtServer, FourConcurrentClientThreads) {
   ASSERT_TRUE(server.start().ok());
 
   std::vector<std::thread> threads;
-  std::vector<bool> ok(kClients, false);
+  std::vector<char> ok(kClients, 0);  // one byte per writer thread
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
       ok[static_cast<std::size_t>(c)] = run_vecadd_client(prefix, c, 2048);
@@ -181,7 +179,7 @@ TEST(RtServer, ReleaseWithAStrandedStrCancelsItInsteadOfAborting) {
   EXPECT_FALSE(first->str().ok());  // stranded at the barrier
   EXPECT_TRUE(first->rls().ok());
 
-  std::vector<bool> ok(2, false);
+  std::vector<char> ok(2, 0);  // one byte per writer thread
   std::vector<std::thread> wave;
   for (int c = 0; c < 2; ++c) {
     wave.emplace_back([&, c] {
@@ -488,36 +486,30 @@ TEST(RtServer, RingTransportForkedProcessClients) {
   EXPECT_GT(server.stats().ring_requests.load(), 0);
 }
 
-TEST(RtThreadPool, SubmitAfterShutdownReturnsFailedPrecondition) {
-  ThreadPool pool(1);
-  std::atomic<bool> ran{false};
-  ASSERT_TRUE(pool.submit([&] { ran.store(true); }).ok());
-  pool.shutdown();
-  EXPECT_TRUE(ran.load());  // shutdown drains queued jobs
-  const Status st = pool.submit([] {});
-  EXPECT_EQ(st.code(), ErrorCode::kFailedPrecondition);
-  std::vector<std::function<void()>> batch;
-  batch.emplace_back([] {});
-  EXPECT_EQ(pool.submit_batch(std::move(batch)).code(),
-            ErrorCode::kFailedPrecondition);
-}
-
-TEST(RtThreadPool, JobExceptionReachesHandlerNotTerminate) {
-  std::atomic<int> errors{0};
-  std::string what;
-  std::mutex mu;
-  {
-    ThreadPool pool(1, [&](const char* w) {
-      std::lock_guard<std::mutex> lock(mu);
-      what = w;
-      errors.fetch_add(1);
+/// Serial mode runs every granted kernel whole on one engine worker: the
+/// engine sees one external job per kernel and never fans a launch out.
+TEST(RtServer, SerialModeRunsJobsOnTheEngineWithoutSharding) {
+  const std::string prefix = unique_prefix("serialeng");
+  constexpr int kClients = 3;
+  RtServer server(server_config(prefix, kClients, /*workers=*/2),
+                  builtin_registry());
+  ASSERT_EQ(server.config().exec, ExecMode::kSerial);
+  ASSERT_TRUE(server.start().ok());
+  std::vector<std::thread> threads;
+  std::atomic<int> ok_count{0};
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      if (run_vecadd_client(prefix, c, 1 << 16)) ok_count.fetch_add(1);
     });
-    ASSERT_TRUE(
-        pool.submit([] { throw std::runtime_error("job boom"); }).ok());
-    pool.shutdown();
   }
-  EXPECT_EQ(errors.load(), 1);
-  EXPECT_EQ(what, "job boom");
+  for (auto& t : threads) t.join();
+  server.stop();
+  EXPECT_EQ(ok_count.load(), kClients);
+  const RtExecCounters& exec = server.exec_counters();
+  EXPECT_EQ(server.stats().jobs_run.load(), kClients);
+  EXPECT_EQ(exec.external_jobs, server.stats().jobs_run.load());
+  EXPECT_EQ(exec.launches, 0);
+  EXPECT_EQ(exec.shards_executed, 0);
 }
 
 /// Sharded-mode servers must serve the same protocol with the same

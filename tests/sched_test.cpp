@@ -490,6 +490,23 @@ TEST(Admission, OversubscriptionWithoutVictimsBackpressures) {
             AdmitAction::kRetry);
 }
 
+TEST(Admission, FitPlacesRoundedBuffersFirstFitInFreeExtents) {
+  AdmissionController admission({/*capacity=*/4096});
+  const auto verdict = [&](Bytes in, Bytes out, std::vector<Bytes> extents) {
+    const AdmissionController::Fit fit{{in, out}, std::move(extents), 256};
+    return admission.admit(in + out, 512, {}, &fit).action;
+  };
+  // 108 B fit 512 free bytes only if each rounded 256 B buffer finds an
+  // extent of its own.
+  EXPECT_EQ(verdict(100, 8, {256, 256}), AdmitAction::kAdmit);
+  EXPECT_EQ(verdict(100, 8, {200, 200, 112}), AdmitAction::kRetry);
+  // First fit puts the input in the 300 B extent; neither the 44 B left
+  // there nor the 212 B extent holds the output.
+  EXPECT_EQ(verdict(200, 200, {300, 212}), AdmitAction::kRetry);
+  // Rounded buffers larger than the device are rejected, not retried.
+  EXPECT_EQ(verdict(3900, 100, {4096}), AdmitAction::kReject);
+}
+
 TEST(Admission, PlanEvictionOnlyNamesVictimsWhenShort) {
   AdmissionController admission({/*capacity=*/32 * kMiB});
   AdmissionController::Victim idle{0, 8 * kMiB, 0};

@@ -535,24 +535,22 @@ void print_live_stats(const rt::RtServer& server) {
               cnt("rt.sessions_attached"), cnt("rt.slots_recycled"),
               cnt("rt.stale_sessions"), cnt("rt.mailbox_acks"),
               cnt("rt.arena_grants"));
-  if (server.config().exec == rt::ExecMode::kSharded) {
-    const rt::RtExecCounters& e = server.exec_counters();
-    std::printf("  exec: %ld launches, %ld shards, %ld steals, "
-                "%ld overflow, %ld external jobs, overlap %ld B\n",
-                cnt("exec.launches"), cnt("exec.shards_executed"),
-                cnt("exec.steals"), cnt("exec.overflow_pushes"),
-                cnt("exec.external_jobs"), cnt("rt.overlap_bytes"));
-    std::printf("  worker shards:");
-    for (std::size_t i = 0; i < e.worker_shards.size(); ++i) {
-      if (i + 1 == e.worker_shards.size()) {
-        std::printf(" ext=%ld", cnt("exec.worker_shards.external"));
-      } else {
-        std::printf(" w%zu=%ld",
-                    i, cnt(("exec.worker_shards." + std::to_string(i)).c_str()));
-      }
+  const rt::RtExecCounters& e = server.exec_counters();
+  std::printf("  exec: %ld launches, %ld shards, %ld steals, "
+              "%ld overflow, %ld external jobs, overlap %ld B\n",
+              cnt("exec.launches"), cnt("exec.shards_executed"),
+              cnt("exec.steals"), cnt("exec.overflow_pushes"),
+              cnt("exec.external_jobs"), cnt("rt.overlap_bytes"));
+  std::printf("  worker shards:");
+  for (std::size_t i = 0; i < e.worker_shards.size(); ++i) {
+    if (i + 1 == e.worker_shards.size()) {
+      std::printf(" ext=%ld", cnt("exec.worker_shards.external"));
+    } else {
+      std::printf(" w%zu=%ld",
+                  i, cnt(("exec.worker_shards." + std::to_string(i)).c_str()));
     }
-    std::printf("\n");
   }
+  std::printf("\n");
   if (server.config().vmem.enabled) {
     const long issued = cnt("vmem.prefetch_issued");
     const long hits = cnt("vmem.prefetch_hits");
