@@ -121,7 +121,7 @@ void BM_FullTaskCycle(benchmark::State& state) {
         bool ok = client->req(*kid, params).ok();
         ok = ok && client->snd().ok();
         ok = ok && client->str().ok();
-        ok = ok && client->wait_done(std::chrono::microseconds(50)).ok();
+        ok = ok && client->wait_done().ok();
         ok = ok && client->rcv().ok();
         ok = ok && client->rls().ok();
         if (!ok) failures.fetch_add(1);

@@ -11,7 +11,7 @@
 //     path (spin-phase hit) is two cache-line handoffs and zero syscalls.
 //
 // Both sides share one adaptive WaitStrategy (spin -> yield -> block on a
-// Doorbell) so the client's completion polling and the server's serve-loop
+// Doorbell) so the ring client's response wait and the server's serve-loop
 // idle wait use the same, tunable machinery. See docs/transport.md.
 #pragma once
 
@@ -19,6 +19,7 @@
 #include <chrono>
 #include <climits>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <thread>
@@ -255,16 +256,25 @@ class ServerLane {
 
 /// Message-queue client endpoint over the server's shared request queue
 /// and this client's private response queue (both non-owning).
+/// `after_send` (optional) runs after each successful send: a session
+/// client passes the ready-set publish plus server doorbell ring a ring
+/// client does, so a serve loop parked on the doorbell for its ring lanes
+/// wakes for the message instead of finding it when the park ends.
 template <typename Req, typename Resp>
 class MqClientTransport final : public ClientTransport<Req, Resp> {
  public:
   MqClientTransport(MessageQueue<Req>* request_queue,
-                    MessageQueue<Resp>* response_queue)
-      : request_queue_(request_queue), response_queue_(response_queue) {}
+                    MessageQueue<Resp>* response_queue,
+                    std::function<void()> after_send = {})
+      : request_queue_(request_queue),
+        response_queue_(response_queue),
+        after_send_(std::move(after_send)) {}
 
   TransportKind kind() const override { return TransportKind::kMessageQueue; }
   Status send(const Req& request) override {
-    return request_queue_->send(request);
+    const Status sent = request_queue_->send(request);
+    if (sent.ok() && after_send_) after_send_();
+    return sent;
   }
   StatusOr<Resp> receive(std::chrono::milliseconds timeout) override {
     return response_queue_->receive(timeout);
@@ -273,6 +283,7 @@ class MqClientTransport final : public ClientTransport<Req, Resp> {
  private:
   MessageQueue<Req>* request_queue_;
   MessageQueue<Resp>* response_queue_;
+  std::function<void()> after_send_;
 };
 
 /// Message-queue server lane: wraps the per-client response queue.

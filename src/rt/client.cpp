@@ -134,7 +134,7 @@ Status RtClient::open_private(std::uint32_t caps) {
   return Status::Ok();
 }
 
-StatusOr<RtAck> RtClient::call(RtRequest request) {
+Status RtClient::call(RtRequest request, std::chrono::milliseconds bound) {
   request.client = id_;
   request.seq = ++seq_;
   request.session = session_;
@@ -150,47 +150,71 @@ StatusOr<RtAck> RtClient::call(RtRequest request) {
                        static_cast<std::int32_t>(request.op));
     }
   };
-  // Bounded at-least-once RPC: resend under the same seq on timeout (the
-  // server replays its recorded answer, so a retry never re-runs the
-  // verb), discard stale responses from earlier attempts, and surface
-  // kTimedOut once the retry budget is spent — a dead server becomes an
-  // error, not a hang.
+  // Bounded at-least-once RPC: resend under the same seq after each
+  // op_timeout without an answer (the server replays its recorded answer,
+  // so a retry never re-runs the verb), discard stale responses from
+  // earlier verbs, and surface kTimedOut once max_retries resends in a row
+  // went unanswered — a dead server becomes an error, not a hang. A kWait
+  // is the server's heartbeat for a verb whose ack it parked until the
+  // job completes (STP, kLaunchGraph): the server is alive, so it restarts
+  // the retry budget and the wait goes on.
+  const bool bounded = bound.count() > 0;
+  const auto deadline = std::chrono::steady_clock::now() + bound;
   RtBackoff backoff;
   backoff.base = options_.retry_backoff;
   backoff.seed(backoff_seed_ ^ static_cast<std::uint64_t>(request.seq));
-  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    if (attempt > 0) std::this_thread::sleep_for(backoff.next());
+  int silent = 0;  // resends in a row that got no answer at all
+  for (;;) {
     const Status sent = chan_->send(request);
-    if (!sent.ok()) {
-      if (sent.code() != ErrorCode::kUnavailable) {
-        finish();
-        return sent;
-      }
-      continue;  // full ring/queue: back off and resend
+    if (!sent.ok() && sent.code() != ErrorCode::kUnavailable) {
+      finish();
+      return sent;
     }
-    for (;;) {
-      auto response = chan_->receive(options_.op_timeout);
+    // A full ring/queue (kUnavailable) counts as an unanswered attempt.
+    while (sent.ok()) {
+      auto window = options_.op_timeout;
+      if (bounded) {
+        const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+            deadline - std::chrono::steady_clock::now());
+        if (left.count() <= 0) break;
+        window = std::min(window, left);
+      }
+      auto response = chan_->receive(window);
       if (!response.ok()) {
         if (response.status().code() != ErrorCode::kUnavailable) {
           finish();
           return response.status();
         }
-        break;  // round-trip deadline expired: resend
+        break;  // window expired without an answer
       }
       if (response->seq != 0 && response->seq < request.seq) {
-        continue;  // stale answer to a superseded attempt
+        continue;  // stale answer to an earlier verb
+      }
+      if (response->ack == RtAck::kWait) {
+        ++waits_;
+        silent = 0;
+        continue;
       }
       finish();
       if (response->ack == RtAck::kError) {
         return Internal("GVM rejected the request");
       }
-      return response->ack;
+      return Status::Ok();
     }
+    if (bounded && std::chrono::steady_clock::now() >= deadline) {
+      finish();
+      return TimedOut("job did not complete within done_timeout");
+    }
+    if (silent >= options_.max_retries) {
+      finish();
+      return TimedOut("GVM did not answer op " +
+                      std::to_string(static_cast<int>(request.op)) +
+                      " after " + std::to_string(options_.max_retries + 1) +
+                      " attempts");
+    }
+    ++silent;
+    std::this_thread::sleep_for(backoff.next());
   }
-  finish();
-  return TimedOut("GVM did not answer op " +
-                  std::to_string(static_cast<int>(request.op)) + " after " +
-                  std::to_string(options_.max_retries + 1) + " attempts");
 }
 
 Status RtClient::await_handshake(const RtRequest& request,
@@ -268,8 +292,20 @@ Status RtClient::adopt_grant(const RtResponse& granted, std::uint32_t caps) {
       return Internal("mqueue transport selected without a response queue");
     }
     active_ = ipc::TransportKind::kMessageQueue;
+    // A session's sends also publish its ready slot and ring the serve-loop
+    // doorbell (send, publish, ring: SessionRingTransport's order), so a
+    // serve loop parked on the doorbell wakes for them.
+    std::function<void()> wake;
+    ipc::ControlRegion<RtResponse>* ctrl = ctx_->control();
+    ipc::Doorbell::Word* door = ctx_->server_door();
+    if (ctrl != nullptr && door != nullptr && session_ != 0) {
+      wake = [ctrl, door, slot = session_slot(session_)] {
+        ctrl->publish_ready(slot);
+        ipc::Doorbell(door).ring();
+      };
+    }
     chan_ = std::make_unique<ipc::MqClientTransport<RtRequest, RtResponse>>(
-        ctx_->request_queue(), resp_.get());
+        ctx_->request_queue(), resp_.get(), std::move(wake));
   }
   if (options_.fault != nullptr) {
     chan_ =
@@ -407,8 +443,8 @@ Status RtClient::req(int kernel_id, const std::int64_t params[4]) {
 
 Status RtClient::snd() {
   if (capturing_) return Status::Ok();  // replays run zero-copy on the vsm
-  auto ack = call(RtRequest{RtOp::kSnd});
-  if (!ack.ok()) return ack.status();
+  const Status st = call(RtRequest{RtOp::kSnd});
+  if (!st.ok()) return st;
   if (options_.fault != nullptr) {
     options_.fault->maybe_kill(fault::Point::kClientAfterSnd);
   }
@@ -430,56 +466,28 @@ Status RtClient::str() {
                           bytes_in_, bytes_out_, deps)
         .status();
   }
-  auto ack = call(RtRequest{RtOp::kStr});
-  if (!ack.ok()) return ack.status();
+  const Status st = call(RtRequest{RtOp::kStr});
+  if (!st.ok()) return st;
   if (options_.fault != nullptr) {
     options_.fault->maybe_kill(fault::Point::kClientAfterStr);
   }
   return Status::Ok();
 }
 
-Status RtClient::wait_done(std::chrono::microseconds poll) {
+Status RtClient::wait_done() {
   if (capturing_) return Status::Ok();
-  // On the ring transport an STP round trip costs no syscalls, so the
-  // first re-polls are immediate (they catch microsecond-scale jobs), then
-  // back off exponentially to `poll`. The mqueue path keeps the paper
-  // client's fixed sleep so its timing behaviour is unchanged.
-  const bool bounded = options_.done_timeout.count() > 0;
-  const auto deadline = std::chrono::steady_clock::now() + options_.done_timeout;
-  int fast_polls = 0;
-  std::chrono::microseconds delay{0};
-  for (;;) {
-    auto ack = call(RtRequest{RtOp::kStp});
-    if (!ack.ok()) return ack.status();
-    if (*ack == RtAck::kAck) {
-      if (options_.fault != nullptr) {
-        options_.fault->maybe_kill(fault::Point::kClientAfterStp);
-      }
-      return Status::Ok();
-    }
-    ++waits_;
-    if (bounded && std::chrono::steady_clock::now() >= deadline) {
-      return TimedOut("job did not complete within done_timeout");
-    }
-    if (active_ != ipc::TransportKind::kShmRing) {
-      std::this_thread::sleep_for(poll);
-      continue;
-    }
-    if (fast_polls < 64) {
-      ++fast_polls;
-      std::this_thread::yield();
-      continue;
-    }
-    delay = delay.count() == 0 ? std::chrono::microseconds(1)
-                               : std::min(poll, delay * 2);
-    std::this_thread::sleep_for(delay);
+  const Status st = call(RtRequest{RtOp::kStp}, options_.done_timeout);
+  if (!st.ok()) return st;
+  if (options_.fault != nullptr) {
+    options_.fault->maybe_kill(fault::Point::kClientAfterStp);
   }
+  return Status::Ok();
 }
 
 Status RtClient::rcv() {
   if (capturing_) return Status::Ok();
-  auto ack = call(RtRequest{RtOp::kRcv});
-  if (!ack.ok()) return ack.status();
+  const Status st = call(RtRequest{RtOp::kRcv});
+  if (!st.ok()) return st;
   if (options_.fault != nullptr) {
     options_.fault->maybe_kill(fault::Point::kClientAfterRcv);
   }
@@ -487,9 +495,7 @@ Status RtClient::rcv() {
 }
 
 Status RtClient::rls() {
-  auto ack = call(RtRequest{RtOp::kRls});
-  if (!ack.ok()) return ack.status();
-  return Status::Ok();
+  return call(RtRequest{RtOp::kRls});
 }
 
 // ---------------------------------------------------------------------------
@@ -602,11 +608,8 @@ Status RtClient::upload_graph(int graph_id,
     request.params[0] = total;
     request.params[1] = offset;
     request.params[2] = chunk;
-    auto ack = call(request);
-    if (!ack.ok()) return ack.status();
-    if (*ack != RtAck::kAck) {
-      return Internal("GVM declined a graph upload chunk");
-    }
+    const Status st = call(request);
+    if (!st.ok()) return st;
     offset += chunk;
   }
   return Status::Ok();
@@ -618,19 +621,7 @@ Status RtClient::launch_graph(int graph_id, const std::int64_t* bindings) {
   if (bindings != nullptr) {
     for (int i = 0; i < 4; ++i) request.params[i] = bindings[i];
   }
-  auto ack = call(request);
-  if (!ack.ok()) {
-    // The completion ack outran the retry budget (a long replay): fall
-    // back to the classic STP poll, which owns the answer from here on.
-    if (ack.status().code() == ErrorCode::kTimedOut) return wait_done();
-    return ack.status();
-  }
-  if (*ack == RtAck::kWait) {
-    // A retry raced the in-flight replay; poll it to completion.
-    ++waits_;
-    return wait_done();
-  }
-  return Status::Ok();
+  return call(request, options_.done_timeout);
 }
 
 }  // namespace vgpu::rt

@@ -143,13 +143,17 @@ struct RtClientOptions {
   /// does not arrive within this window is resent (same seq: the server
   /// replays its recorded answer, so the retry is side-effect free).
   std::chrono::milliseconds op_timeout{2500};
-  /// Resends after the first attempt before the verb fails kTimedOut —
-  /// the bound that turns a dead server into an error instead of a hang.
+  /// Resends in a row that may go unanswered before the verb fails
+  /// kTimedOut — the bound that turns a dead server into an error instead
+  /// of a hang. A kWait heartbeat (the answer to a resend of a parked STP
+  /// or graph launch) restarts the count.
   int max_retries = 3;
   /// First retry backoff; doubles per attempt (capped at 100 ms).
   std::chrono::microseconds retry_backoff{500};
-  /// Overall bound on wait_done() (STP polling); 0 = unlimited, matching
-  /// the paper client's poll-forever loop.
+  /// Overall bound on one completion wait (wait_done(), launch_graph());
+  /// 0 = unlimited, like the paper client's wait-forever loop. A job that
+  /// outruns op_timeout does not need this: the server's kWait heartbeat
+  /// keeps the wait alive while the server is up.
   std::chrono::milliseconds done_timeout{0};
   /// Optional fault injector (not owned). Drives the client-side points:
   /// kill-between-verbs (client.after_*) and the ctrl.send / ctrl.recv
@@ -199,12 +203,15 @@ class RtClient {
   Status snd();
   /// STR: start execution (barrier-synchronized on the server).
   Status str();
-  /// STP loop: polls until the GVM acknowledges completion. On the ring
-  /// transport the poll is adaptive (immediate re-polls, then exponential
-  /// backoff capped at `poll`); on the message queue it sleeps `poll`
-  /// between attempts, as the paper's client does.
-  Status wait_done(
-      std::chrono::microseconds poll = std::chrono::microseconds(200));
+  /// STP: returns once the GVM acknowledges completion. One STP is sent;
+  /// the server parks its ack until the job finishes, and the client
+  /// blocks in the transport's receive (spin -> yield -> futex on the
+  /// ring, mq_timedreceive on the message queue). Every op_timeout
+  /// without an answer it resends under the same seq; the server answers
+  /// a resend of a parked STP with a kWait heartbeat, which restarts the
+  /// retry budget. max_retries unanswered resends in a row fail kTimedOut
+  /// (the server is gone), as does done_timeout when set.
+  Status wait_done();
   /// RCV: results are in the output area afterwards.
   Status rcv();
   /// RLS: release VGPU resources.
@@ -250,11 +257,12 @@ class RtClient {
   Status upload_graph(int graph_id, std::span<const RtGraphNode> nodes);
   /// Fires one replay of `graph_id`. `bindings` (optional) supplies the
   /// 4 per-iteration scalars bound nodes substitute. One message per
-  /// iteration on the fast path: the server acks once, at completion.
-  /// When the ack outruns the op window (long replays) the client falls
-  /// back to STP polling — same at-least-once contract as every verb.
+  /// iteration: the server parks the ack until the replay completes, and
+  /// the client waits for it exactly as wait_done() waits for STP's.
   Status launch_graph(int graph_id, const std::int64_t* bindings = nullptr);
 
+  /// kWait heartbeats received: answers to resends of a verb whose ack the
+  /// server parked (0 while every job finishes within op_timeout).
   long waits_observed() const { return waits_; }
   /// The negotiated control-plane transport (valid after req()).
   ipc::TransportKind transport() const { return active_; }
@@ -273,7 +281,10 @@ class RtClient {
         bytes_out_(bytes_out),
         options_(options) {}
 
-  StatusOr<RtAck> call(RtRequest request);
+  /// One verb as a bounded at-least-once RPC (see client.cpp): Ok on kAck,
+  /// kInternal on kError. `bound` caps the whole wait (0 = none);
+  /// completion waits pass done_timeout.
+  Status call(RtRequest request, std::chrono::milliseconds bound = {});
   /// Creates the private P_vsm<k> segment (+ channel block when `caps`
   /// advertises the ring) and P_resp<k> queue — the classic per-client
   /// resources, also the fallback when the arena declines.

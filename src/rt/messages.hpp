@@ -31,6 +31,9 @@ enum class RtOp : std::int32_t {
   /// declared a binding slot. The server acks once, when the whole graph
   /// completes (kWait answers a duplicate while the replay is running).
   kLaunchGraph,
+  /// Server-internal: posted by a finishing job to wake a serve loop
+  /// blocked on the request queue (pure-mqueue mode). Carries nothing.
+  kWake,
 };
 
 enum class RtAck : std::int32_t {

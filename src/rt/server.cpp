@@ -486,24 +486,29 @@ void RtServer::export_obs() {
 std::size_t RtServer::drain_requests(bool* shutdown) {
   std::size_t handled = 0;
   // Sweep the shared message queue dry without blocking.
-  for (;;) {
-    auto request = requests_.receive(std::chrono::milliseconds(0));
-    if (!request.ok()) {
-      if (request.status().code() != ErrorCode::kUnavailable) {
-        VGPU_ERROR("rt server: receive failed: "
-                   << request.status().to_string());
-        *shutdown = true;
+  const auto sweep_queue = [&] {
+    for (;;) {
+      auto request = requests_.receive(std::chrono::milliseconds(0));
+      if (!request.ok()) {
+        if (request.status().code() != ErrorCode::kUnavailable) {
+          VGPU_ERROR("rt server: receive failed: "
+                     << request.status().to_string());
+          *shutdown = true;
+        }
+        return;
       }
-      break;
+      if (request->op == RtOp::kShutdown) {
+        *shutdown = true;
+        return;
+      }
+      if (request->op == RtOp::kWake) continue;
+      stats_.requests.fetch_add(1);
+      handle(*request);
+      ++handled;
     }
-    if (request->op == RtOp::kShutdown) {
-      *shutdown = true;
-      return handled;
-    }
-    stats_.requests.fetch_add(1);
-    handle(*request);
-    ++handled;
-  }
+  };
+  sweep_queue();
+  if (*shutdown) return handled;
   // Ready-set drain: the control region names exactly the lanes whose
   // clients published since the last wakeup, so this sweep is O(ready),
   // never O(attached). Collect every pending ring request before handling
@@ -513,12 +518,25 @@ std::size_t RtServer::drain_requests(bool* shutdown) {
   if (ctrl_.drain_ready(&ready_batch_) == 0) return handled;
   stats_.record_ready(ready_batch_.size());
   ring_batch_.clear();
+  bool mq_ready = false;
   for (const std::uint32_t slot : ready_batch_) {
     ClientState* client = sessions_.at(slot);
     if (client == nullptr || client->lane == nullptr) continue;
+    if (client->lane->kind() != ipc::TransportKind::kShmRing) {
+      mq_ready = true;
+      continue;
+    }
     while (auto request = client->lane->try_receive()) {
       ring_batch_.push_back(*request);
     }
+  }
+  // An mqueue client publishes its slot after its mq_send, so its message
+  // may have landed after the sweep above; the publish is consumed now, so
+  // sweep again or the message waits out the doorbell park. (With no ring
+  // lanes the loop parks in the queue's own receive, which finds it.)
+  if (mq_ready && ring_lanes_ > 0) {
+    sweep_queue();
+    if (*shutdown) return handled;
   }
   for (const RtRequest& request : ring_batch_) {
     stats_.requests.fetch_add(1);
@@ -575,14 +593,25 @@ void RtServer::serve_loop() {
     const SimTime park_begin = tracer.begin_span();
     if (ring_lanes_ == 0) {
       // Pure-mqueue mode: block inside the kernel on the shared queue,
-      // exactly like the paper's timed-receive serve loop.
+      // exactly like the paper's timed-receive serve loop. A job finishing
+      // meanwhile posts a kWake (mq_parked_); the flag is raised before
+      // the completion count is checked, the job bumps the count before
+      // testing the flag, so one of the two always sees the other.
+      mq_parked_.store(true);
+      if (pending_completions_.load() > 0) {
+        mq_parked_.store(false);
+        continue;
+      }
       auto request = requests_.receive(park_ceil_ms(park));
+      mq_parked_.store(false);
       tracer.end_span(park_begin, obs::Phase::kPark, obs::kLaneServer);
       if (request.ok()) {
         if (request->op == RtOp::kShutdown) break;
-        stats_.requests.fetch_add(1);
-        handle(*request);
-        stats_.record_batch(1);
+        if (request->op != RtOp::kWake) {
+          stats_.requests.fetch_add(1);
+          handle(*request);
+          stats_.record_batch(1);
+        }
         drain_completions();
         pump();
       } else if (request.status().code() != ErrorCode::kUnavailable) {
@@ -639,25 +668,45 @@ void RtServer::drain_completions() {
                       /*count_reclaimed=*/true);
       continue;
     }
-    if (client->graph_ack_deferred &&
+    if (client->parked_seq.has_value() &&
         client->job_done->load(std::memory_order_acquire)) {
-      // Deferred graph ack: one response per whole-graph completion. If
-      // the client already fell back to STP polling (a newer verb moved
-      // last_seq past the launch), STP owns the answer instead.
-      client->graph_ack_deferred = false;
-      if (!client->released &&
-          client->last_seq == client->graph_launch_seq) {
-        if (paging() && client->alloc_out != 0) {
-          (void)pager_of(*client)->ensure_readable(client->alloc_out);
-          pager_of(*client)->touch(client->alloc_out);
-        }
-        respond(*client,
-                client->job_failed->load(std::memory_order_acquire)
-                    ? RtAck::kError
-                    : RtAck::kAck);
+      // The parked STP / kLaunchGraph gets its one answer now, unless the
+      // client has since moved on to another verb (or released).
+      const std::int64_t seq = *client->parked_seq;
+      client->parked_seq.reset();
+      if (!client->released && client->last_seq == seq) {
+        answer_completion(*client);
       }
     }
   }
+}
+
+void RtServer::answer_completion(ClientState& client) {
+  if (client.job_failed->load(std::memory_order_acquire)) {
+    // The kernel threw; surface the failure instead of handing back stale
+    // output bytes.
+    respond(client, RtAck::kError);
+    return;
+  }
+  if (paging() && client.alloc_out != 0) {
+    // The client reads its result next; make sure nothing the pager
+    // spilled (and the test-only scrub mode poisoned) is still stale.
+    (void)pager_of(client)->ensure_readable(client.alloc_out);
+    pager_of(client)->touch(client.alloc_out);
+  }
+  if (config_.data_plane == DataPlane::kStaged && !sharded() &&
+      !client.last_job_graph && client.bytes_out > 0) {
+    // Result: staging buffer -> virtual shared memory (output area).
+    // (Sharded jobs already wrote back, chunked, before completing; graph
+    // replays write the vsm data area directly.)
+    const SimTime t0 = obs_.tracer().begin_span();
+    std::memcpy(client.output_area().data(), client.staging_out.data(),
+                static_cast<std::size_t>(client.bytes_out));
+    obs_.tracer().end_span(t0, obs::Phase::kCopyOut, client.id,
+                           client.kernel_id);
+    stats_.bytes_copied.fetch_add(client.bytes_out);
+  }
+  respond(client, RtAck::kAck);
 }
 
 void RtServer::respond(ClientState& client, RtAck ack) {
@@ -972,6 +1021,7 @@ void RtServer::count_ctrl(RtOp op) {
       stats_.ctrl_graph.fetch_add(1);
       break;
     case RtOp::kShutdown:
+    case RtOp::kWake:
       break;
   }
 }
@@ -1001,11 +1051,11 @@ void RtServer::handle(const RtRequest& request) {
       if (client.has_last_response) {
         stats_.duplicates_absorbed.fetch_add(1);
         send_response(client, client.last_response);
-      } else if (request.op == RtOp::kLaunchGraph &&
-                 client.graph_ack_deferred) {
-        // The replay is still running and its completion ack is what a
-        // later retry must replay: answer kWait without recording it, so
-        // the client falls back to STP polling.
+      } else if (client.parked_seq == request.seq) {
+        // A resend of a parked STP / kLaunchGraph: the job is still
+        // running. The heartbeat kWait tells the client the server is
+        // alive; it is not recorded, since a later retry must replay the
+        // completion ack.
         stats_.waits_sent.fetch_add(1);
         send_unrecorded(client, RtAck::kWait);
       }
@@ -1060,38 +1110,14 @@ void RtServer::handle(const RtRequest& request) {
     case RtOp::kStp: {
       if (client.str_pending ||
           !client.job_done->load(std::memory_order_acquire)) {
+        // Park: drain_completions answers this seq when the job lands.
         // str_pending covers the enqueued-but-not-granted window: job_done
         // still holds the previous round's true until the grant runs, so
-        // without it an STP poll would ack pre-replay output as complete.
-        stats_.waits_sent.fetch_add(1);
-        respond(client, RtAck::kWait);
+        // without it an STP would ack pre-replay output as complete.
+        client.parked_seq = request.seq;
         break;
       }
-      if (client.job_failed->load(std::memory_order_acquire)) {
-        // The kernel threw; surface the failure instead of handing back
-        // stale output bytes.
-        respond(client, RtAck::kError);
-        break;
-      }
-      if (paging() && client.alloc_out != 0) {
-        // The client reads its result next; make sure nothing the pager
-        // spilled (and the test-only scrub mode poisoned) is still stale.
-        (void)pager_of(client)->ensure_readable(client.alloc_out);
-        pager_of(client)->touch(client.alloc_out);
-      }
-      if (config_.data_plane == DataPlane::kStaged && !sharded() &&
-          !client.last_job_graph && client.bytes_out > 0) {
-        // Result: staging buffer -> virtual shared memory (output area).
-        // (Sharded jobs already wrote back, chunked, before completing;
-        // graph replays write the vsm data area directly.)
-        const SimTime t0 = obs_.tracer().begin_span();
-        std::memcpy(client.output_area().data(), client.staging_out.data(),
-                    static_cast<std::size_t>(client.bytes_out));
-        obs_.tracer().end_span(t0, obs::Phase::kCopyOut, client.id,
-                               client.kernel_id);
-        stats_.bytes_copied.fetch_add(client.bytes_out);
-      }
-      respond(client, RtAck::kAck);
+      answer_completion(client);
       break;
     }
     case RtOp::kRcv: {
@@ -1127,6 +1153,7 @@ void RtServer::handle(const RtRequest& request) {
     }
     case RtOp::kReq:
     case RtOp::kShutdown:
+    case RtOp::kWake:
       break;  // handled elsewhere
   }
 }
@@ -1229,8 +1256,7 @@ void RtServer::handle_launch_graph(const RtRequest& request,
   client.graph_pending = request.kernel_id;
   std::memcpy(client.graph_params, request.params,
               sizeof(client.graph_params));
-  client.graph_ack_deferred = true;
-  client.graph_launch_seq = request.seq;
+  client.parked_seq = request.seq;
   client.str_pending = true;
   client.str_begin = obs_.tracer().begin_span();
   // One graph grant stands for the whole DAG: charge its aggregate
@@ -1708,9 +1734,16 @@ std::function<void()> RtServer::make_job(int client_id, ClientState& client) {
     {
       std::lock_guard<std::mutex> lock(completions_mutex_);
       completions_.push_back(client_id);
-      pending_completions_.fetch_add(1, std::memory_order_release);
+      pending_completions_.fetch_add(1);
     }
     door.ring();
+    if (mq_parked_.exchange(false)) {
+      // The serve loop blocks on the request queue, out of the doorbell's
+      // reach (pure-mqueue mode): a full queue already wakes it.
+      RtRequest wake;
+      wake.op = RtOp::kWake;
+      (void)requests_.try_send(wake);
+    }
   };
 }
 

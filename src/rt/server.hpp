@@ -5,7 +5,8 @@
 //
 // Resource naming, for prefix P and client id k:
 //   request queue   P_req          (created by the server; carries REQ,
-//                                   mqueue-mode ops and shutdown)
+//                                   mqueue-mode ops, shutdown and the
+//                                   jobs' completion wakes)
 //   doorbell        P_door         (created by the server; ring clients
 //                                   and workers wake the serve loop here)
 //   response queue  P_resp<k>      (created by the client; REQ handshake
@@ -20,6 +21,7 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <span>
 #include <string>
@@ -188,6 +190,7 @@ struct RtServerStats {
   std::atomic<long> requests{0};
   std::atomic<long> flushes{0};
   std::atomic<long> jobs_run{0};
+  /// kWait heartbeats: answers to resends of a parked STP/kLaunchGraph.
   std::atomic<long> waits_sent{0};
   /// Requests that arrived via a shm-ring lane (no syscalls).
   std::atomic<long> ring_requests{0};
@@ -416,11 +419,11 @@ class RtServer {
     /// (make_job consumes it) and the per-iteration bindings.
     int graph_pending = -1;
     std::int64_t graph_params[4] = {};
-    /// Deferred completion ack: a kLaunchGraph is acked once, when the
-    /// replay finishes (drain_completions) — unless the client already
-    /// fell back to STP polling (last_seq moved past graph_launch_seq).
-    bool graph_ack_deferred = false;
-    std::int64_t graph_launch_seq = 0;
+    /// Deferred completion: the seq of an STP or kLaunchGraph that arrived
+    /// before its job finished. Nothing is sent then; drain_completions
+    /// answers it when the job lands, provided it is still last_seq (the
+    /// client has not moved on) and the session is not released.
+    std::optional<std::int64_t> parked_seq;
     /// True while the most recent job was a graph replay: STP must not
     /// write back staging bytes the replay never produced.
     bool last_job_graph = false;
@@ -512,14 +515,19 @@ class RtServer {
   /// Feeds worker-thread job completions back into the scheduler (serve
   /// thread only).
   void drain_completions();
+  /// Answers a finished job's completion wait (STP, or the parked STP /
+  /// kLaunchGraph in drain_completions): kError if the kernel threw, else
+  /// the pager makes the output readable, the serial staged plane copies
+  /// staging -> vsm, and kAck.
+  void answer_completion(ClientState& client);
   void respond(ClientState& client, RtAck ack);
   /// Records the response for duplicate replay, applies the
   /// server.respond fault point, and sends without ever blocking the
   /// serve loop (a full dead-client queue counts responses_dropped).
   void send_response(ClientState& client, const RtResponse& response);
-  /// Sends without recording a duplicate-replay answer: the kWait a
-  /// repeated in-flight kLaunchGraph gets must not shadow the completion
-  /// ack a later retry needs to replay.
+  /// Sends without recording a duplicate-replay answer: the kWait
+  /// heartbeat a resend of a parked verb gets must not shadow the
+  /// completion ack a later retry needs to replay.
   void send_unrecorded(ClientState& client, RtAck ack);
   /// The raw fault-pointed send both of the above share.
   void send_now(ClientState& client, const RtResponse& response);
@@ -608,6 +616,11 @@ class RtServer {
   std::mutex completions_mutex_;
   std::vector<int> completions_;  // worker -> serve thread job completions
   std::atomic<int> pending_completions_{0};
+  /// Set while the pure-mqueue serve loop blocks in the request queue's
+  /// timed receive, where the doorbell cannot reach it: the job that
+  /// clears it posts a kWake so the completion is answered now, not when
+  /// the receive times out.
+  std::atomic<bool> mq_parked_{false};
   std::unique_ptr<exec::ExecEngine> engine_;  // runs every granted job
   std::atomic<int> jobs_in_flight_{0};
   RtExecCounters exec_counters_;

@@ -521,7 +521,7 @@ TEST(Recovery, BusyClientIsNotExpiredByDeadline) {
   ASSERT_TRUE(client->req(*kid, params).ok());
   ASSERT_TRUE(client->snd().ok());
   ASSERT_TRUE(client->str().ok());
-  ASSERT_TRUE(client->wait_done(std::chrono::microseconds(2000)).ok());
+  ASSERT_TRUE(client->wait_done().ok());
   ASSERT_TRUE(client->rls().ok());
   server.stop();
   EXPECT_EQ(server.stats().leases_expired.load(), 0);
@@ -556,8 +556,8 @@ TEST(Recovery, DeadServerSurfacesTimedOutNotHang) {
   }
 }
 
-// wait_done() with a done_timeout bounds STP polling even while the server
-// keeps answering kWait (job legitimately still running).
+// wait_done() with a done_timeout bounds the completion wait even while the
+// server is alive and the job legitimately still running.
 TEST(Recovery, WaitDoneHonorsDoneTimeout) {
   const std::string prefix = unique_prefix("donet");
   RtServer server(
@@ -573,11 +573,105 @@ TEST(Recovery, WaitDoneHonorsDoneTimeout) {
   ASSERT_TRUE(client->req(*kid, params).ok());
   ASSERT_TRUE(client->snd().ok());
   ASSERT_TRUE(client->str().ok());
-  const Status st = client->wait_done(std::chrono::microseconds(1000));
+  const Status st = client->wait_done();
   EXPECT_EQ(st.code(), ErrorCode::kTimedOut);
   // Let the job drain so stop() tears down cleanly.
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   server.stop();
+}
+
+// A job longer than the whole retry budget, (max_retries + 1) x op_timeout,
+// still completes: each same-seq resend of the parked STP gets a kWait
+// heartbeat, which restarts the budget.
+TEST(Recovery, HeartbeatOutlastsTheRetryBudget) {
+  for (const auto transport :
+       {ipc::TransportKind::kMessageQueue, ipc::TransportKind::kShmRing}) {
+    SCOPED_TRACE(ipc::transport_name(transport));
+    const std::string prefix = unique_prefix("beat");
+    RtServer server(chaos_config(prefix, 1, transport), builtin_registry());
+    ASSERT_TRUE(server.start().ok());
+    RtClientOptions options = chaos_options(transport);
+    options.op_timeout = std::chrono::milliseconds(50);
+    options.max_retries = 2;
+    auto client = RtClient::connect(prefix, 0, 0, 0, options);
+    ASSERT_TRUE(client.ok());
+    auto kid = builtin_registry().id_of("sleep_ms");
+    const std::int64_t params[4] = {400, 0, 0, 0};  // > 3 x 50 ms
+    ASSERT_TRUE(client->req(*kid, params).ok());
+    ASSERT_TRUE(client->snd().ok());
+    ASSERT_TRUE(client->str().ok());
+    EXPECT_TRUE(client->wait_done().ok());
+    EXPECT_GT(client->waits_observed(), 0);
+    EXPECT_TRUE(client->rls().ok());
+    server.stop();
+    EXPECT_EQ(server.stats().waits_sent.load(), client->waits_observed());
+    EXPECT_EQ(server.stats().jobs_run.load(), 1);
+  }
+}
+
+// A server that stops while an STP is parked sends no more heartbeats: the
+// wait gives up after max_retries silent resends, not when the job ends.
+TEST(Recovery, StopWhileStpParkedTimesOutNotHang) {
+  for (const auto transport :
+       {ipc::TransportKind::kMessageQueue, ipc::TransportKind::kShmRing}) {
+    SCOPED_TRACE(ipc::transport_name(transport));
+    const std::string prefix = unique_prefix("parkstop");
+    RtServer server(chaos_config(prefix, 1, transport), builtin_registry());
+    ASSERT_TRUE(server.start().ok());
+    RtClientOptions options = chaos_options(transport);
+    options.op_timeout = std::chrono::milliseconds(50);
+    options.max_retries = 2;
+    auto client = RtClient::connect(prefix, 0, 0, 0, options);
+    ASSERT_TRUE(client.ok());
+    auto kid = builtin_registry().id_of("sleep_ms");
+    const std::int64_t params[4] = {1000, 0, 0, 0};
+    ASSERT_TRUE(client->req(*kid, params).ok());
+    ASSERT_TRUE(client->snd().ok());
+    ASSERT_TRUE(client->str().ok());
+    Status waited = Status::Ok();
+    std::chrono::steady_clock::duration elapsed{};
+    std::thread waiter([&] {
+      const auto t0 = std::chrono::steady_clock::now();
+      waited = client->wait_done();
+      elapsed = std::chrono::steady_clock::now() - t0;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    server.stop();  // returns once the engine has run the job out
+    waiter.join();
+    EXPECT_EQ(waited.code(), ErrorCode::kTimedOut) << waited.to_string();
+    // (max_retries + 1) x op_timeout, plus the resend backoffs and
+    // scheduling slack; well short of the 1 s job.
+    EXPECT_LT(elapsed, std::chrono::milliseconds(3 * 50 + 250));
+  }
+}
+
+// The completion ack itself is lost (server.respond drops the third
+// response: SND ack, STR grant ack, then the completion). The same-seq
+// resend replays the recorded ack, and the staged copy-out it carried
+// left the output bitwise correct.
+TEST(Recovery, DroppedCompletionAckIsReplayed) {
+  for (const auto transport :
+       {ipc::TransportKind::kMessageQueue, ipc::TransportKind::kShmRing}) {
+    SCOPED_TRACE(ipc::transport_name(transport));
+    const std::string prefix = unique_prefix("ackdrop");
+    fault::Injector server_faults{
+        fault::FaultPlan::parse("seed=5,drop@server.respond:after=2:limit=1")
+            .value()};
+    RtServerConfig config = chaos_config(prefix, 1, transport);
+    config.lease_timeout = std::chrono::milliseconds(2000);
+    config.fault = &server_faults;
+    RtServer server(config, builtin_registry());
+    ASSERT_TRUE(server.start().ok());
+    RtClientOptions options = chaos_options(transport);
+    options.op_timeout = std::chrono::milliseconds(100);
+    // 1 MiB per operand: the job is still running when STP arrives, so
+    // the ack that gets dropped is the parked one.
+    EXPECT_TRUE(run_vecadd_client(prefix, 0, 1L << 18, options));
+    server.stop();
+    EXPECT_EQ(server_faults.fired(fault::Action::kDrop), 1);
+    EXPECT_GE(server.stats().duplicates_absorbed.load(), 1);
+    EXPECT_EQ(server.stats().jobs_run.load(), 1);
+  }
 }
 
 // Injected message loss on the control plane: dropped requests are resent,

@@ -121,22 +121,49 @@ TEST(RtServer, FourConcurrentClientThreads) {
   EXPECT_EQ(server.stats().flushes.load(), 1);
 }
 
-TEST(RtServer, SlowKernelYieldsWaits) {
-  const std::string prefix = unique_prefix("slow");
-  RtServer server(server_config(prefix, 1, 1), builtin_registry());
-  ASSERT_TRUE(server.start().ok());
-  auto client = RtClient::connect(prefix, 0, 0, 0);
-  ASSERT_TRUE(client.ok());
-  auto kid = builtin_registry().id_of("sleep_ms");
-  ASSERT_TRUE(kid.ok());
-  const std::int64_t params[4] = {50, 0, 0, 0};  // 50 ms busy kernel
-  ASSERT_TRUE(client->req(*kid, params).ok());
-  ASSERT_TRUE(client->snd().ok());
-  ASSERT_TRUE(client->str().ok());
-  ASSERT_TRUE(client->wait_done(std::chrono::microseconds(1000)).ok());
-  EXPECT_GT(client->waits_observed(), 0);
-  ASSERT_TRUE(client->rls().ok());
-  server.stop();
+// A job far longer than a round trip still costs one STP message: the
+// server parks the ack until the job lands, and the client blocks in the
+// transport's receive instead of polling.
+TEST(RtServer, SlowKernelCostsOneStp) {
+  for (const auto transport :
+       {ipc::TransportKind::kMessageQueue, ipc::TransportKind::kShmRing}) {
+    SCOPED_TRACE(ipc::transport_name(transport));
+    const std::string prefix = unique_prefix("slow");
+    RtServer server(server_config(prefix, 1, 1, transport),
+                    builtin_registry());
+    ASSERT_TRUE(server.start().ok());
+    constexpr Bytes kBytes = 256;
+    RtClientOptions options;
+    options.transport = transport;
+    auto client = RtClient::connect(prefix, 0, kBytes, kBytes, options);
+    ASSERT_TRUE(client.ok());
+    // sleep_ms writes nothing, so the staged result it leaves is the
+    // zero-filled staging buffer; the parked ack's copy-out must deliver
+    // exactly that over the pattern the client left in its output area.
+    std::memset(client->input().data(), 0x11, kBytes);
+    auto* out = const_cast<std::byte*>(client->output().data());
+    std::memset(out, 0x5a, kBytes);
+    auto kid = builtin_registry().id_of("sleep_ms");
+    ASSERT_TRUE(kid.ok());
+    const std::int64_t params[4] = {50, 0, 0, 0};  // 50 ms busy kernel
+    ASSERT_TRUE(client->req(*kid, params).ok());
+    ASSERT_TRUE(client->snd().ok());
+    ASSERT_TRUE(client->str().ok());
+    ASSERT_TRUE(client->wait_done().ok());
+    ASSERT_TRUE(client->rcv().ok());
+    for (const std::byte b : client->output()) {
+      ASSERT_EQ(b, std::byte{0});
+    }
+    EXPECT_EQ(client->waits_observed(), 0);
+    ASSERT_TRUE(client->rls().ok());
+    server.stop();
+    const obs::Counter* stp =
+        server.obs().metrics().find_counter("rt.ctrl_messages_stp");
+    ASSERT_NE(stp, nullptr);
+    EXPECT_EQ(stp->value(), 1);
+    EXPECT_EQ(server.stats().waits_sent.load(), 0);
+    EXPECT_EQ(server.stats().bytes_copied.load(), 2 * kBytes);
+  }
 }
 
 TEST(RtServer, ReleaseWithAStrandedStrCancelsItInsteadOfAborting) {

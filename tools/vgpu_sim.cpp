@@ -487,6 +487,8 @@ void print_live_stats(const rt::RtServer& server) {
     const obs::Counter* c = reg.find_counter(name);
     return c != nullptr ? c->value() : 0L;
   };
+  // "waits" is rt.waits_sent: kWait heartbeats answering resends of a
+  // parked STP / graph launch (0 while every job beats op_timeout).
   std::printf("  requests %ld (ring %ld), flushes %ld, jobs %ld, "
               "waits %ld\n",
               cnt("rt.requests"), cnt("rt.ring_requests"), cnt("rt.flushes"),
